@@ -222,7 +222,7 @@ try {
                   << serial.wallSeconds << " wall s ("
                   << serial.simRate() << " sim-s/wall-s); windowed "
                   << "speedup " << std::fixed
-                  << windowed.wallSeconds / serial.wallSeconds
+                  << serial.wallSeconds / windowed.wallSeconds
                   << "x\n";
         std::cout.unsetf(std::ios::floatfield);
     }

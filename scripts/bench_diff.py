@@ -32,6 +32,20 @@ COMPARED_METRICS = (
 )
 
 
+UNITS = ("ms", "us", "s")
+
+
+def unit_of(metric):
+    """Printed unit from the metric name: the time suffix of the part
+    before any "_per_", e.g. step_sparse_ms -> "ms",
+    wall_us_per_request -> "us/request"; "" when there is none."""
+    quantity, _, per = metric.partition("_per_")
+    unit = quantity.rsplit("_", 1)[-1]
+    if unit not in UNITS:
+        return ""
+    return f"{unit}/{per}" if per else unit
+
+
 def load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -98,7 +112,7 @@ def main():
             ratio = cur / base
             status = "FAIL" if ratio > args.max_ratio else "ok"
             print(f"{devices:>5} devices  {metric:<26} "
-                  f"{base:>10.3f} -> {cur:>10.3f} ms  "
+                  f"{base:>10.3f} -> {cur:>10.3f} {unit_of(metric)}  "
                   f"({ratio:.2f}x)  {status}")
             if ratio > args.max_ratio:
                 failures.append((devices, metric, ratio))

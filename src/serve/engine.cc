@@ -11,7 +11,7 @@
 #include "planner/relocation.hh"
 #include "planner/replica_alloc.hh"
 #include "runtime/iteration.hh"
-#include "sim/engine.hh"
+#include "serve/step_timeline.hh"
 
 namespace laer
 {
@@ -129,6 +129,8 @@ ServingEngine::ServingEngine(const DevicePoolSlice &slice,
     layerDispatch_.assign(layers, 0.0);
     layerCombine_.assign(layers, 0.0);
     layerImbalance_.assign(layers, 0.0);
+    expertSecs_.assign(
+        layers * static_cast<std::size_t>(slice_.numDevices()), 0.0);
 
     switch (config_.policy) {
       case ServingPolicy::StaticEp:
@@ -394,6 +396,13 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
         recvDouble_[li].assign(recvTokens_[li].begin(),
                                recvTokens_[li].end());
         layerImbalance_[li] = imbalanceFactor(recvDouble_[li]);
+        const std::vector<TokenCount> &recv = recvTokens_[li];
+        Seconds *expert =
+            expertSecs_.data() + li * static_cast<std::size_t>(n);
+        for (DeviceId d = 0; d < n; ++d)
+            expert[d] = static_cast<double>(recv[d]) *
+                        model.expertFlopsPerToken() /
+                        topo.computeFlops();
     });
 
     // Attention + gate work of the step, sharded evenly (the batch is
@@ -428,45 +437,14 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
 
     // Timeline: per layer, attention -> dispatch A2A (barrier) ->
     // expert FFN -> combine A2A (barrier), forward only.
-    SimEngine eng(n);
-    std::vector<TaskId> prev(n, -1);
-    for (int l = 0; l < layers; ++l) {
-        const auto li = static_cast<std::size_t>(l);
-        const Seconds t_disp = layerDispatch_[li];
-        const Seconds t_comb = layerCombine_[li];
-        const std::vector<TokenCount> &recv = recvTokens_[li];
-
-        std::vector<TaskId> attn_ids(n), disp_ids(n), expert_ids(n);
-        for (DeviceId d = 0; d < n; ++d) {
-            const std::vector<TaskId> deps =
-                prev[d] < 0 ? std::vector<TaskId>{}
-                            : std::vector<TaskId>{prev[d]};
-            attn_ids[d] = eng.addTask("attn", d, StreamKind::Compute,
-                                      attn_dur, deps, "attn");
-        }
-        for (DeviceId d = 0; d < n; ++d)
-            disp_ids[d] = eng.addTask("dispatch", d,
-                                      StreamKind::Dispatch, t_disp,
-                                      attn_ids, "a2a");
-        for (DeviceId d = 0; d < n; ++d) {
-            const Seconds dur = static_cast<double>(recv[d]) *
-                                model.expertFlopsPerToken() /
-                                topo.computeFlops();
-            expert_ids[d] = eng.addTask("expert", d,
-                                        StreamKind::Compute, dur,
-                                        {disp_ids[d]}, "expert");
-        }
-        for (DeviceId d = 0; d < n; ++d)
-            prev[d] = eng.addTask("combine", d, StreamKind::Dispatch,
-                                  t_comb, expert_ids, "a2a");
-    }
-    eng.run();
+    const StepTimeline timeline = priceStepTimeline(
+        n, attn_dur, layerDispatch_, layerCombine_, expertSecs_);
 
     const double layer_scale =
         static_cast<double>(model.layers) / layers;
     const Seconds head = lmHeadForwardTime(model, sampled, 1,
                                            topo.computeFlops());
-    res.duration = eng.makespan() * layer_scale + head +
+    res.duration = timeline.makespan * layer_scale + head +
                    config_.stepOverhead + res.migration;
 
     // Swap-style preemption traffic recorded while planning this step
@@ -478,14 +456,9 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
                    config_.hostLinkBw;
     res.duration += res.swapTime;
 
-    const auto busy = eng.categoryBusyPerDevice();
-    const auto busyOf = [&busy](const char *key) {
-        const auto it = busy.find(key);
-        return it == busy.end() ? 0.0 : it->second;
-    };
-    res.a2aBusy = busyOf("a2a") * layer_scale;
-    res.expertBusy = busyOf("expert") * layer_scale;
-    res.othersBusy = busyOf("attn") * layer_scale;
+    res.a2aBusy = timeline.a2aBusy * layer_scale;
+    res.expertBusy = timeline.expertBusy * layer_scale;
+    res.othersBusy = timeline.attnBusy * layer_scale;
     res.maxRelTokens = mean(layerImbalance_);
     ++stepIndex_;
     return res;

@@ -15,8 +15,8 @@
  * One engine step is: plan (batcher schedules under the pool's token
  * budget, resolving KV pressure), execute (gate the step's tokens,
  * refresh the pool's expert layout per policy, price attention /
- * All-to-All / expert FFN on the pool's sub-cluster with the
- * discrete-event engine), commit (advance request progress at the
+ * All-to-All / expert FFN on the pool's sub-cluster in closed form,
+ * serve/step_timeline.hh), commit (advance request progress at the
  * step's finish time). Swap-style preemption traffic recorded by the
  * batcher is charged here at the host-link bandwidth.
  *
@@ -215,9 +215,9 @@ class ServingEngine
 
     /**
      * Price a planned step on the pool's sub-cluster: gate the tokens,
-     * refresh the pool's layouts per the policy, lay the step out on
-     * the discrete-event engine, and charge swap traffic at the
-     * host-link bandwidth.
+     * refresh the pool's layouts per the policy, price the step's
+     * barrier-phase timeline in closed form (priceStepTimeline), and
+     * charge swap traffic at the host-link bandwidth.
      * @param plan   Non-empty plan from the last planStep().
      * @param start  Simulated step start time.
      * @return the step's timing/accounting (pool index not yet set).
@@ -351,6 +351,7 @@ class ServingEngine
     std::vector<Seconds> layerDispatch_;
     std::vector<Seconds> layerCombine_;
     std::vector<double> layerImbalance_;
+    std::vector<Seconds> expertSecs_; //!< expert FFN time, [l * n + d]
     std::vector<RetuneWallSample> retuneWall_;
 };
 

@@ -5,17 +5,25 @@
  * inter-pool KV transfer costs against the cluster bandwidths,
  * admission pause (back-pressure), swap-style preemption mechanics
  * and its cost ordering against recompute, and the disaggregated
- * policy end to end.
+ * policy end to end, and the closed-form step timeline against the
+ * discrete-event schedule it replaces.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "comm/collectives.hh"
 #include "core/error.hh"
+#include "core/rng.hh"
 #include "serve/batcher.hh"
 #include "serve/device_pool.hh"
 #include "serve/kv_cache.hh"
 #include "serve/serving_sim.hh"
+#include "serve/step_timeline.hh"
+#include "sim/engine.hh"
 #include "topo/cluster.hh"
 
 namespace laer
@@ -472,6 +480,182 @@ TEST(ServingSim, DisaggregatedRejectsImpossiblePools)
     ServingConfig uneven = disaggConfig(true);
     uneven.disagg.prefillDevices = 6;
     EXPECT_THROW(ServingSimulator(cluster, uneven), FatalError);
+}
+
+// ---- closed-form step timeline ---------------------------------------------
+
+/** One step's per-layer durations, as the engine prices them. */
+struct StepDurations
+{
+    int devices = 1;
+    Seconds attn = 0.0;
+    std::vector<Seconds> dispatch; //!< per layer
+    std::vector<Seconds> combine;  //!< per layer
+    std::vector<Seconds> expert;   //!< [l * devices + d]
+};
+
+/**
+ * The step timeline as a stream DES: per layer and device, attention
+ * and expert FFN on the compute stream, dispatch and combine on the
+ * dispatch stream, each All-to-All depending on every device's
+ * preceding task.
+ */
+StepTimeline
+desStepTimeline(const StepDurations &in)
+{
+    const int n = in.devices;
+    SimEngine eng(n);
+    std::vector<TaskId> prev(n, -1);
+    for (std::size_t l = 0; l < in.dispatch.size(); ++l) {
+        std::vector<TaskId> attn_ids(n), disp_ids(n), expert_ids(n);
+        for (DeviceId d = 0; d < n; ++d) {
+            const std::vector<TaskId> deps =
+                prev[d] < 0 ? std::vector<TaskId>{}
+                            : std::vector<TaskId>{prev[d]};
+            attn_ids[d] = eng.addTask("attn", d, StreamKind::Compute,
+                                      in.attn, deps, "attn");
+        }
+        for (DeviceId d = 0; d < n; ++d)
+            disp_ids[d] = eng.addTask("dispatch", d,
+                                      StreamKind::Dispatch,
+                                      in.dispatch[l], attn_ids, "a2a");
+        for (DeviceId d = 0; d < n; ++d)
+            expert_ids[d] = eng.addTask(
+                "expert", d, StreamKind::Compute,
+                in.expert[l * static_cast<std::size_t>(n) + d],
+                {disp_ids[d]}, "expert");
+        for (DeviceId d = 0; d < n; ++d)
+            prev[d] = eng.addTask("combine", d, StreamKind::Dispatch,
+                                  in.combine[l], expert_ids, "a2a");
+    }
+    eng.run();
+    const auto busy = eng.categoryBusyPerDevice();
+    const auto busyOf = [&busy](const char *key) {
+        const auto it = busy.find(key);
+        return it == busy.end() ? 0.0 : it->second;
+    };
+    StepTimeline out;
+    out.makespan = eng.makespan();
+    out.a2aBusy = busyOf("a2a");
+    out.expertBusy = busyOf("expert");
+    out.attnBusy = busyOf("attn");
+    return out;
+}
+
+/** A duration spanning several magnitudes, zero one time in eight. */
+Seconds
+drawDuration(Rng &rng)
+{
+    if (rng.uniformInt(0, 7) == 0)
+        return 0.0;
+    return rng.uniform() * std::pow(10.0, rng.uniformInt(-7, -1));
+}
+
+StepDurations
+drawStep(Rng &rng, int devices, int layers)
+{
+    StepDurations in;
+    in.devices = devices;
+    in.attn = drawDuration(rng);
+    for (int l = 0; l < layers; ++l) {
+        in.dispatch.push_back(drawDuration(rng));
+        in.combine.push_back(drawDuration(rng));
+        // Expert time is received tokens x a per-token cost, like the
+        // engine's; a small token range makes the maximum tie often.
+        const Seconds per_token = drawDuration(rng);
+        const int max_tokens = rng.uniformInt(0, 4);
+        for (int d = 0; d < devices; ++d)
+            in.expert.push_back(rng.uniformInt(0, max_tokens) *
+                                per_token);
+    }
+    return in;
+}
+
+/** Closed form and DES agree exactly (==, not within a tolerance). */
+void
+expectMatchesDes(const StepDurations &in)
+{
+    const StepTimeline ref = desStepTimeline(in);
+    const StepTimeline got = priceStepTimeline(
+        in.devices, in.attn, in.dispatch, in.combine, in.expert);
+    EXPECT_EQ(got.makespan, ref.makespan);
+    EXPECT_EQ(got.a2aBusy, ref.a2aBusy);
+    EXPECT_EQ(got.expertBusy, ref.expertBusy);
+    EXPECT_EQ(got.attnBusy, ref.attnBusy);
+}
+
+TEST(StepTimeline, MatchesTheStreamDesBitForBit)
+{
+    Rng rng(20261017);
+    for (const int devices : {1, 2, 8, 64, 512}) {
+        for (int layers = 1; layers <= 4; ++layers) {
+            for (int trial = 0; trial < 8; ++trial) {
+                SCOPED_TRACE(testing::Message()
+                             << "devices=" << devices
+                             << " layers=" << layers
+                             << " trial=" << trial);
+                expectMatchesDes(drawStep(rng, devices, layers));
+            }
+        }
+    }
+}
+
+TEST(StepTimeline, AllZeroAndAllTiedStepsMatch)
+{
+    StepDurations zero;
+    zero.devices = 8;
+    zero.dispatch.assign(3, 0.0);
+    zero.combine.assign(3, 0.0);
+    zero.expert.assign(3 * 8, 0.0);
+    EXPECT_EQ(priceStepTimeline(8, zero.attn, zero.dispatch,
+                                zero.combine, zero.expert)
+                  .makespan,
+              0.0);
+    expectMatchesDes(zero);
+
+    StepDurations tied = zero;
+    tied.attn = 1e-4;
+    tied.dispatch.assign(3, 3e-5);
+    tied.combine.assign(3, 7e-6);
+    tied.expert.assign(3 * 8, 0.1 / 3.0);
+    expectMatchesDes(tied);
+}
+
+TEST(StepTimeline, RejectsNegativeAndNanDurations)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<Seconds> ok_layer{1e-5, 2e-5};
+    const std::vector<Seconds> ok_expert{1e-4, 0.0, 3e-4, 2e-4};
+    EXPECT_NO_THROW(
+        priceStepTimeline(2, 1e-4, ok_layer, ok_layer, ok_expert));
+
+    EXPECT_THROW(priceStepTimeline(2, -1e-4, ok_layer, ok_layer,
+                                   ok_expert),
+                 FatalError);
+    EXPECT_THROW(priceStepTimeline(2, nan, ok_layer, ok_layer,
+                                   ok_expert),
+                 FatalError);
+    EXPECT_THROW(priceStepTimeline(2, 1e-4, {1e-5, -2e-5}, ok_layer,
+                                   ok_expert),
+                 FatalError);
+    EXPECT_THROW(priceStepTimeline(2, 1e-4, ok_layer, {nan, 2e-5},
+                                   ok_expert),
+                 FatalError);
+    EXPECT_THROW(priceStepTimeline(2, 1e-4, ok_layer, ok_layer,
+                                   {1e-4, 0.0, -3e-4, 2e-4}),
+                 FatalError);
+    EXPECT_THROW(priceStepTimeline(2, 1e-4, ok_layer, ok_layer,
+                                   {1e-4, nan, 3e-4, 2e-4}),
+                 FatalError);
+
+    // Shape errors: no devices, mismatched layer counts.
+    EXPECT_THROW(priceStepTimeline(0, 1e-4, {}, {}, {}), FatalError);
+    EXPECT_THROW(priceStepTimeline(2, 1e-4, ok_layer, {1e-5},
+                                   ok_expert),
+                 FatalError);
+    EXPECT_THROW(priceStepTimeline(2, 1e-4, ok_layer, ok_layer,
+                                   {1e-4, 0.0, 3e-4}),
+                 FatalError);
 }
 
 } // namespace

@@ -199,8 +199,9 @@ TEST(EventCalendar, RandomizedAgainstNaiveReference)
             live += e.live ? 1u : 0u;
         ASSERT_EQ(cal.size(), live);
         const int best = refBest();
-        if (best >= 0)
+        if (best >= 0) {
             ASSERT_DOUBLE_EQ(cal.peekTime(), ref[best].time);
+        }
     }
 }
 
