@@ -215,4 +215,12 @@ modelByName(const std::string &name)
     fatal("unknown model config: " + name);
 }
 
+Seconds
+lmHeadForwardTime(const ModelConfig &model, TokenCount tokens,
+                  int tp_degree, double compute_flops)
+{
+    return static_cast<double>(tokens) * 2.0 * model.hiddenDim *
+           model.vocabSize / (compute_flops * tp_degree);
+}
+
 } // namespace laer

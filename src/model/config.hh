@@ -94,6 +94,10 @@ std::vector<ModelConfig> allEvaluatedModels();
 /** Look a preset up by name (e.g. "mixtral-8x7b-e8k2"). */
 ModelConfig modelByName(const std::string &name);
 
+/** LM-head forward time for one micro-batch (backward costs 2x). */
+Seconds lmHeadForwardTime(const ModelConfig &model, TokenCount tokens,
+                          int tp_degree, double compute_flops);
+
 } // namespace laer
 
 #endif // LAER_MODEL_CONFIG_HH

@@ -74,14 +74,6 @@ transpose(const VolumeMatrix &volume)
 } // namespace
 
 Seconds
-lmHeadForwardTime(const ModelConfig &model, TokenCount tokens,
-                  int tp_degree, double compute_flops)
-{
-    return static_cast<double>(tokens) * 2.0 * model.hiddenDim *
-           model.vocabSize / (compute_flops * tp_degree);
-}
-
-Seconds
 optimizerStepTime(const ModelConfig &model, int n_devices)
 {
     // Fully sharded Adam sweep: read+write params, grads, moments.

@@ -91,10 +91,6 @@ MicroBatchResult simulateMicroBatch(const Cluster &cluster,
 /** Optimizer-step duration (fully sharded parameter sweep). */
 Seconds optimizerStepTime(const ModelConfig &model, int n_devices);
 
-/** LM-head forward time for one micro-batch (backward costs 2x). */
-Seconds lmHeadForwardTime(const ModelConfig &model, TokenCount tokens,
-                          int tp_degree, double compute_flops);
-
 } // namespace laer
 
 #endif // LAER_RUNTIME_ITERATION_HH

@@ -10,7 +10,6 @@
 #include "planner/lite_routing.hh"
 #include "planner/relocation.hh"
 #include "planner/replica_alloc.hh"
-#include "runtime/iteration.hh"
 #include "serve/step_timeline.hh"
 
 namespace laer
@@ -358,10 +357,11 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
 
     // Per-layer route + price fan-out into the reusable scratch
     // slots. The lite-routed policies go through the sparse plan (the
-    // dense S and volume matrices never exist); StaticEp routes its
-    // grouped dense plan and is folded to the same port loads. All
-    // sums are exact integers, so the priced times are bit-identical
-    // to the dense formulation.
+    // dense S and volume matrices never exist) and are priced from its
+    // port loads; all sums are exact integers, so the priced times are
+    // bit-identical to the dense formulation. StaticEp routes its
+    // grouped dense plan and is priced from the dense dispatch
+    // VolumeMatrix and its transpose via a2aBottleneckTime.
     runLayers([&](int l) {
         const auto li = static_cast<std::size_t>(l);
         if (config_.policy == ServingPolicy::StaticEp) {

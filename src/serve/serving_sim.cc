@@ -395,25 +395,29 @@ ServingSimulator::reconfigPending() const
     return false;
 }
 
+std::vector<int>
+ServingSimulator::engineLoads() const
+{
+    std::vector<int> load(engines_.size());
+    for (std::size_t i = 0; i < engines_.size(); ++i)
+        load[i] = engines_[i]->batcher().waitingCount() +
+                  engines_[i]->batcher().runningCount();
+    return load;
+}
+
 int
-ServingSimulator::pickEngineForArrival() const
+ServingSimulator::pickEngineForArrival(const std::vector<int> &load) const
 {
     // Least-loaded live replica; Loading counts (its queue serves the
     // moment the shards land), ties go to the lowest slot.
     int best = -1;
-    int best_load = 0;
     for (std::size_t i = 0; i < engines_.size(); ++i) {
         const EngineState state = engines_[i]->state();
         if (state != EngineState::Active && state != EngineState::Loading)
             continue;
-        const int load = engines_[i]->batcher().waitingCount() +
-                         engines_[i]->batcher().runningCount();
-        if (best < 0 || load < best_load) {
+        if (best < 0 || load[i] < load[static_cast<std::size_t>(best)])
             best = static_cast<int>(i);
-            best_load = load;
-        }
     }
-    LAER_ASSERT(best >= 0, "no live replica to dispatch to");
     return best;
 }
 
@@ -799,7 +803,7 @@ ServingSimulator::applyReconfig()
         if (engines_[i]->state() != EngineState::Draining ||
             freeAt_[i] > now_)
             continue;
-        harvestFinished(static_cast<int>(i));
+        harvestFinished(static_cast<int>(i), engines_[i]->takeFinished());
         accruePower(now_);
         std::vector<Request> evicted = engines_[i]->drain();
         emitRetuneSpans(i);
@@ -817,20 +821,22 @@ ServingSimulator::applyReconfig()
                                    onRehome(r.id, now_, -1));
             pending_.held[i] = std::move(evicted);
         } else {
+            std::vector<int> load = engineLoads();
             for (const Request &r : evicted) {
                 // Under faults the survivors may all be dead too: the
                 // eviction then takes the retry path instead of
                 // asserting on an empty replica set.
-                const int live =
-                    faultsEnabled_ ? pickRetryTarget(r)
-                                   : pickEngineForArrival();
+                const int live = pickEngineForArrival(load);
                 if (live < 0) {
+                    LAER_ASSERT(faultsEnabled_,
+                                "no live replica to dispatch to");
                     scheduleRetry(r, now_);
                     continue;
                 }
                 const std::size_t target =
                     static_cast<std::size_t>(live);
                 engines_[target]->enqueue(r);
+                ++load[target];
                 if (LAER_REQ_SAMPLED(config_.reqTrace, r.id))
                     LAER_REQ_EVENT(config_.reqTrace,
                                    onRehome(r.id, now_,
@@ -903,21 +909,49 @@ ServingSimulator::applyReconfig()
     }
 }
 
+bool
+ServingSimulator::peekArrival()
+{
+    if (offeringClosed_)
+        return false;
+    if (!lookaheadValid_) {
+        lookahead_ = arrivals_.next();
+        lookaheadValid_ = true;
+    }
+    if (lookahead_.arrival >= config_.horizon) {
+        // The stream stops offering at the horizon; the run then
+        // drains whatever is in flight.
+        offeringClosed_ = true;
+        lookaheadValid_ = false;
+        return false;
+    }
+    return true;
+}
+
+void
+ServingSimulator::admitArrival(std::size_t target)
+{
+    ++offered_;
+    LAER_TRACE_INSTANT(config_.trace, poolTrack(target), "admit", "serve",
+                       lookahead_.arrival,
+                       {TraceArg{"id", lookahead_.id},
+                        TraceArg{"prefill", lookahead_.prefillTokens},
+                        TraceArg{"decode", lookahead_.decodeTokens},
+                        TraceArg{"class", lookahead_.sloClass}});
+    if (LAER_REQ_SAMPLED(config_.reqTrace, lookahead_.id))
+        LAER_REQ_EVENT(config_.reqTrace,
+                       onAdmit(lookahead_.id, lookahead_.sloClass,
+                               lookahead_.arrival, lookahead_.arrival,
+                               static_cast<int>(target)));
+    lookaheadValid_ = false;
+}
+
 void
 ServingSimulator::pumpArrivals()
 {
-    while (!offeringClosed_) {
-        if (!lookaheadValid_) {
-            lookahead_ = arrivals_.next();
-            lookaheadValid_ = true;
-        }
-        if (lookahead_.arrival >= config_.horizon) {
-            // The stream stops offering at the horizon; the run then
-            // drains whatever is in flight.
-            offeringClosed_ = true;
-            lookaheadValid_ = false;
-            break;
-        }
+    // Live loads, kept current across this pump's own dispatches.
+    std::vector<int> load;
+    while (peekArrival()) {
         if (lookahead_.arrival > now_)
             break;
         if (faultsEnabled_) {
@@ -954,27 +988,18 @@ ServingSimulator::pumpArrivals()
             prefill_only.decodeTokens = 1;
             engines_[0]->enqueue(prefill_only);
         } else if (config_.replicas.replicaDevices > 0) {
-            target = static_cast<std::size_t>(pickEngineForArrival());
+            if (load.empty())
+                load = engineLoads();
+            const int best = pickEngineForArrival(load);
+            LAER_ASSERT(best >= 0, "no live replica to dispatch to");
+            target = static_cast<std::size_t>(best);
             engines_[target]->enqueue(lookahead_);
+            ++load[target];
         } else {
             engines_[0]->enqueue(lookahead_);
         }
         scheduleEngineWake(target);
-        ++offered_;
-        LAER_TRACE_INSTANT(config_.trace, poolTrack(target), "admit",
-                           "serve", lookahead_.arrival,
-                           {TraceArg{"id", lookahead_.id},
-                            TraceArg{"prefill",
-                                     lookahead_.prefillTokens},
-                            TraceArg{"decode", lookahead_.decodeTokens},
-                            TraceArg{"class", lookahead_.sloClass}});
-        if (LAER_REQ_SAMPLED(config_.reqTrace, lookahead_.id))
-            LAER_REQ_EVENT(config_.reqTrace,
-                           onAdmit(lookahead_.id, lookahead_.sloClass,
-                                   lookahead_.arrival,
-                                   lookahead_.arrival,
-                                   static_cast<int>(target)));
-        lookaheadValid_ = false;
+        admitArrival(target);
     }
     scheduleArrivalWake();
 }
@@ -1077,10 +1102,11 @@ ServingSimulator::retireSampledRequest(const Request &done)
 }
 
 void
-ServingSimulator::harvestFinished(int pool_index)
+ServingSimulator::harvestFinished(int pool_index,
+                                  const std::vector<Request> &finished)
 {
     const bool disagg = config_.policy == ServingPolicy::Disaggregated;
-    for (Request r : engines_[pool_index]->takeFinished()) {
+    for (Request r : finished) {
         if (!disagg || pool_index == 1) {
             recordCompletion(r);
             continue;
@@ -1448,7 +1474,7 @@ ServingSimulator::applyKill(std::size_t i)
     // The dying engine's completed work is real (its last step
     // committed at the step boundary we deferred to); only the live
     // queue is lost.
-    harvestFinished(static_cast<int>(i));
+    harvestFinished(static_cast<int>(i), engines_[i]->takeFinished());
     accruePower(now_);
     std::vector<Request> evicted = engines_[i]->drain();
     emitRetuneSpans(i);
@@ -1598,21 +1624,7 @@ ServingSimulator::pickRetryTarget(const Request &request) const
                    ? pool
                    : -1;
     }
-    int best = -1;
-    int best_load = 0;
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-        const EngineState state = engines_[i]->state();
-        if (state != EngineState::Active &&
-            state != EngineState::Loading)
-            continue;
-        const int load = engines_[i]->batcher().waitingCount() +
-                         engines_[i]->batcher().runningCount();
-        if (best < 0 || load < best_load) {
-            best = static_cast<int>(i);
-            best_load = load;
-        }
-    }
-    return best;
+    return pickEngineForArrival(engineLoads());
 }
 
 bool
@@ -1699,6 +1711,96 @@ ServingSimulator::scheduleRetryWake()
     calendar_.schedule(retryWake_, ready);
 }
 
+void
+ServingSimulator::advanceEngine(std::size_t i, Seconds clock,
+                                StepRecord &rec)
+{
+    ServingEngine &engine = *engines_[i];
+    const BatchPlan plan = engine.planStep();
+    // Planning is where KV preemption happens; account for it even
+    // when the plan comes back empty.
+    rec.preempted = engine.takePreempted();
+    rec.result.start = clock;
+    if (plan.empty()) {
+        // Admission paused by back-pressure with nothing running: the
+        // pool waits for the decode side to drain. Back-pressure is
+        // disaggregation-only, so the windowed core never gets here.
+        LAER_ASSERT(engine.batcher().admissionPaused(),
+                    "engine idle while holding live requests");
+        return;
+    }
+    rec.ran = true;
+    ServingStepResult &res = rec.result;
+    if (config_.selfProfile) {
+        const auto exec_start = std::chrono::steady_clock::now();
+        res = engine.executeStep(plan, clock);
+        rec.execMs = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - exec_start)
+                         .count();
+    } else {
+        res = engine.executeStep(plan, clock);
+    }
+    if (faultsEnabled_ && stragglerFactor_[i] != 1.0)
+        // A transient straggler stretches the whole step on the
+        // timeline; the token counts are untouched.
+        res.duration *= stragglerFactor_[i];
+    res.pool = static_cast<int>(i);
+    res.preemptions = static_cast<int>(rec.preempted.size());
+    if (engine.batcher().kvEnabled())
+        // Post-plan reservation peak of this step.
+        res.kvUtilization = engine.batcher().kvUtilization();
+    // Share capture reads only this engine's pre-commit state and the
+    // recorder's pure sampling predicate; publishStep() replays the
+    // shares on the simulator thread.
+    captureStepShares(engine, plan, res, static_cast<int>(i), rec.shares);
+    engine.commitStep(plan, clock + res.duration);
+    rec.finished = engine.takeFinished();
+}
+
+void
+ServingSimulator::publishStep(std::size_t i, const StepRecord &rec,
+                              bool retune_spans)
+{
+    const ServingStepResult &res = rec.result;
+    for (const PreemptionRecord &p : rec.preempted) {
+        metrics_.recordPreemption(p.sloClass);
+        LAER_TRACE_INSTANT(config_.trace, poolTrack(i), "preempt",
+                           "serve", res.start,
+                           {TraceArg{"class", p.sloClass},
+                            TraceArg{"id", p.requestId}});
+    }
+    poolStats_[i].preemptions +=
+        static_cast<std::int64_t>(rec.preempted.size());
+    replayStepTrace(rec.preempted, res.start, rec.shares);
+    if (!rec.ran)
+        return;
+    profExecMs_ += rec.execMs;
+    if (engines_[i]->batcher().kvEnabled()) {
+        metrics_.recordKvUtilization(res.kvUtilization);
+        poolStats_[i].kvUtil.add(res.kvUtilization);
+    }
+    ++poolStats_[i].steps;
+    if (config_.trace != nullptr) {
+        const char *kind = res.prefill > 0 && res.decode > 0 ? "mixed_step"
+                           : res.prefill > 0 ? "prefill_step"
+                                             : "decode_step";
+        config_.trace->span(poolTrack(i), kind, "serve", res.start,
+                            res.duration,
+                            {TraceArg{"tokens", res.tokens},
+                             TraceArg{"prefill", res.prefill},
+                             TraceArg{"decode", res.decode},
+                             TraceArg{"kv_util", res.kvUtilization},
+                             TraceArg{"retuned", res.retuned}});
+    }
+    if (config_.metricsRegistry != nullptr)
+        config_.metricsRegistry->histogram("serve.step_time_s")
+            .observe(res.duration);
+    if (res.retuned && retune_spans)
+        emitRetuneSpans(i);
+    harvestFinished(static_cast<int>(i), rec.finished);
+    steps_.push_back(res);
+}
+
 bool
 ServingSimulator::runDueEngines()
 {
@@ -1711,92 +1813,23 @@ ServingSimulator::runDueEngines()
             continue; // loading, draining or parked
         if (freeAt_[i] > now_ || !engines_[i]->hasWork())
             continue;
-        ServingEngine &engine = *engines_[i];
-        const BatchPlan plan = engine.planStep();
-        // Planning is where KV preemption happens; account for it even
-        // when the plan comes back empty.
-        const std::vector<PreemptionRecord> preempted =
-            engine.takePreempted();
-        for (const PreemptionRecord &p : preempted) {
-            metrics_.recordPreemption(p.sloClass);
-            LAER_TRACE_INSTANT(config_.trace, poolTrack(i), "preempt",
-                               "serve", now_,
-                               {TraceArg{"class", p.sloClass},
-                                TraceArg{"id", p.requestId}});
-        }
-        replayStepTrace(preempted, now_, {});
-        poolStats_[i].preemptions +=
-            static_cast<std::int64_t>(preempted.size());
-        if (plan.empty()) {
-            // Admission paused by back-pressure with nothing running:
-            // the pool waits for the decode side to drain.
-            LAER_ASSERT(engine.batcher().admissionPaused(),
-                        "engine idle while holding live requests");
-            scheduleEngineWake(i);
-            continue;
-        }
-
-        ServingStepResult res;
-        if (config_.selfProfile) {
-            const auto exec_start = std::chrono::steady_clock::now();
-            res = engine.executeStep(plan, now_);
-            profExecMs_ +=
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - exec_start)
-                    .count();
-        } else {
-            res = engine.executeStep(plan, now_);
-        }
-        if (faultsEnabled_ && stragglerFactor_[i] != 1.0)
-            // A transient straggler stretches the whole step on the
-            // timeline; the token counts are untouched.
-            res.duration *= stragglerFactor_[i];
-        res.pool = static_cast<int>(i);
-        res.preemptions = static_cast<int>(preempted.size());
-        if (engine.batcher().kvEnabled()) {
-            // Post-plan reservation peak of this step.
-            res.kvUtilization = engine.batcher().kvUtilization();
-            metrics_.recordKvUtilization(res.kvUtilization);
-            poolStats_[i].kvUtil.add(res.kvUtilization);
-        }
-        std::vector<ReqStepShare> shares;
-        captureStepShares(engine, plan, res, static_cast<int>(i),
-                          shares);
-        freeAt_[i] = now_ + res.duration;
-        engine.commitStep(plan, freeAt_[i]);
-        replayStepTrace({}, now_, shares);
-        ++poolStats_[i].steps;
-        if (config_.trace != nullptr) {
-            const char *kind =
-                res.prefill > 0 && res.decode > 0 ? "mixed_step"
-                : res.prefill > 0                 ? "prefill_step"
-                                                  : "decode_step";
-            config_.trace->span(
-                poolTrack(i), kind, "serve", now_, res.duration,
-                {TraceArg{"tokens", res.tokens},
-                 TraceArg{"prefill", res.prefill},
-                 TraceArg{"decode", res.decode},
-                 TraceArg{"kv_util", res.kvUtilization},
-                 TraceArg{"retuned", res.retuned}});
-        }
-        if (config_.metricsRegistry != nullptr)
-            config_.metricsRegistry->histogram("serve.step_time_s")
-                .observe(res.duration);
-        if (res.retuned)
-            emitRetuneSpans(i);
-        harvestFinished(static_cast<int>(i));
+        StepRecord rec;
+        advanceEngine(i, now_, rec);
+        if (rec.ran)
+            freeAt_[i] = now_ + rec.result.duration;
+        publishStep(i, rec, /*retune_spans=*/true);
         scheduleEngineWake(i);
-
+        if (!rec.ran)
+            continue;
         if (shared_layout) {
             // The decode pool (leader) tunes from combined traffic;
             // the prefill pool adopts each fresh layout.
-            if (i == 1 && res.retuned)
+            if (i == 1 && rec.result.retuned)
                 engines_[0]->setLayouts(engines_[1]->layouts());
             if (i == 0)
                 engines_[1]->addExternalRouting(
                     engines_[0]->lastRouting());
         }
-        steps_.push_back(res);
         ran = true;
     }
     return ran;
@@ -2093,57 +2126,20 @@ ServingSimulator::binWindowArrivals(Seconds window_end)
     // each arrival instant; freezing the picture at the window start
     // makes the choice independent of engine execution order — the
     // windowed core's one documented semantic deviation (docs/PERF.md).
-    std::vector<int> load(engines_.size(), 0);
-    for (std::size_t i = 0; i < engines_.size(); ++i)
-        load[i] = engines_[i]->batcher().waitingCount() +
-                  engines_[i]->batcher().runningCount();
+    std::vector<int> load = engineLoads();
     const bool replicas = config_.replicas.replicaDevices > 0;
-    while (!offeringClosed_) {
-        if (!lookaheadValid_) {
-            lookahead_ = arrivals_.next();
-            lookaheadValid_ = true;
-        }
-        if (lookahead_.arrival >= config_.horizon) {
-            offeringClosed_ = true;
-            lookaheadValid_ = false;
-            break;
-        }
+    while (peekArrival()) {
         if (lookahead_.arrival >= window_end)
             break;
         std::size_t target = 0;
         if (replicas) {
-            int best = -1;
-            int best_load = 0;
-            for (std::size_t i = 0; i < engines_.size(); ++i) {
-                const EngineState state = engines_[i]->state();
-                if (state != EngineState::Active &&
-                    state != EngineState::Loading)
-                    continue;
-                if (best < 0 || load[i] < best_load) {
-                    best = static_cast<int>(i);
-                    best_load = load[i];
-                }
-            }
+            const int best = pickEngineForArrival(load);
             LAER_ASSERT(best >= 0, "no live replica to dispatch to");
             target = static_cast<std::size_t>(best);
         }
         bins[target].push_back(lookahead_);
         ++load[target];
-        ++offered_;
-        LAER_TRACE_INSTANT(config_.trace, poolTrack(target), "admit",
-                           "serve", lookahead_.arrival,
-                           {TraceArg{"id", lookahead_.id},
-                            TraceArg{"prefill",
-                                     lookahead_.prefillTokens},
-                            TraceArg{"decode", lookahead_.decodeTokens},
-                            TraceArg{"class", lookahead_.sloClass}});
-        if (LAER_REQ_SAMPLED(config_.reqTrace, lookahead_.id))
-            LAER_REQ_EVENT(config_.reqTrace,
-                           onAdmit(lookahead_.id, lookahead_.sloClass,
-                                   lookahead_.arrival,
-                                   lookahead_.arrival,
-                                   static_cast<int>(target)));
-        lookaheadValid_ = false;
+        admitArrival(target);
     }
     // Keep the calendar coherent for a later serial fallback.
     scheduleArrivalWake();
@@ -2157,7 +2153,6 @@ ServingSimulator::runEngineWindow(std::size_t i, Seconds window_end,
 {
     ServingEngine &engine = *engines_[i];
     const auto wall_start = std::chrono::steady_clock::now();
-    buf.kvEnabled = engine.batcher().kvEnabled();
     Seconds free_at = freeAt_[i];
     // Earliest instant the engine can act; never before the window.
     Seconds clock = std::max(now_, free_at);
@@ -2186,45 +2181,14 @@ ServingSimulator::runEngineWindow(std::size_t i, Seconds window_end,
         }
         if (clock >= window_end)
             break;
-        // One engine step at `clock` — the serial runDueEngines body
-        // with every emission buffered instead of recorded.
-        WindowStepRecord rec;
-        const BatchPlan plan = engine.planStep();
-        rec.preempted = engine.takePreempted();
-        if (plan.empty()) {
-            // Only back-pressure pauses admission, and back-pressure
-            // is disaggregation-only — which the windowed core
-            // rejects — so an idle engine holding work is a bug.
-            LAER_ASSERT(engine.batcher().admissionPaused(),
-                        "engine idle while holding live requests");
-            break;
-        }
-        ServingStepResult res;
-        if (config_.selfProfile) {
-            const auto exec_start = std::chrono::steady_clock::now();
-            res = engine.executeStep(plan, clock);
-            buf.execMs +=
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - exec_start)
-                    .count();
-        } else {
-            res = engine.executeStep(plan, clock);
-        }
-        res.pool = static_cast<int>(i);
-        res.preemptions = static_cast<int>(rec.preempted.size());
-        if (buf.kvEnabled)
-            res.kvUtilization = engine.batcher().kvUtilization();
-        free_at = clock + res.duration;
-        // Share capture reads only this engine's pre-commit state and
-        // the recorder's pure sampling predicate, so it is safe on the
-        // worker; the merge replays the shares on the simulator
-        // thread.
-        captureStepShares(engine, plan, res, static_cast<int>(i),
-                          rec.shares);
-        engine.commitStep(plan, free_at);
-        rec.result = res;
-        rec.completions = engine.takeFinished();
+        StepRecord rec;
+        advanceEngine(i, clock, rec);
+        const bool ran = rec.ran;
+        if (ran)
+            free_at = clock + rec.result.duration;
         buf.steps.push_back(std::move(rec));
+        if (!ran)
+            break;
         clock = free_at;
     }
     // Arrivals the loop did not reach (engine loading past the window
@@ -2239,9 +2203,9 @@ ServingSimulator::runEngineWindow(std::size_t i, Seconds window_end,
 }
 
 void
-ServingSimulator::mergeWindowBuffers(std::vector<WindowBuffer> &buffers)
+ServingSimulator::mergeWindowBuffers(const std::vector<WindowBuffer> &buffers)
 {
-    // Replay in (step start, engine index) order — exactly how a
+    // Publish in (step start, engine index) order — exactly how a
     // serial sweep would have interleaved the engines (each engine's
     // step starts are strictly increasing, so a k-way front merge
     // suffices). The latency collector's streaming percentiles are
@@ -2263,47 +2227,17 @@ ServingSimulator::mergeWindowBuffers(std::vector<WindowBuffer> &buffers)
         }
         if (b == buffers.size())
             break;
-        const WindowStepRecord &rec = buffers[b].steps[cursor[b]++];
-        const ServingStepResult &res = rec.result;
-        for (const PreemptionRecord &p : rec.preempted) {
-            metrics_.recordPreemption(p.sloClass);
-            LAER_TRACE_INSTANT(config_.trace, poolTrack(b), "preempt",
-                               "serve", res.start,
-                               {TraceArg{"class", p.sloClass},
-                                TraceArg{"id", p.requestId}});
-        }
-        poolStats_[b].preemptions +=
-            static_cast<std::int64_t>(rec.preempted.size());
-        replayStepTrace(rec.preempted, res.start, rec.shares);
-        if (buffers[b].kvEnabled) {
-            metrics_.recordKvUtilization(res.kvUtilization);
-            poolStats_[b].kvUtil.add(res.kvUtilization);
-        }
-        ++poolStats_[b].steps;
-        if (config_.trace != nullptr) {
-            const char *kind =
-                res.prefill > 0 && res.decode > 0 ? "mixed_step"
-                : res.prefill > 0                 ? "prefill_step"
-                                                  : "decode_step";
-            config_.trace->span(
-                poolTrack(b), kind, "serve", res.start, res.duration,
-                {TraceArg{"tokens", res.tokens},
-                 TraceArg{"prefill", res.prefill},
-                 TraceArg{"decode", res.decode},
-                 TraceArg{"kv_util", res.kvUtilization},
-                 TraceArg{"retuned", res.retuned}});
-        }
-        if (config_.metricsRegistry != nullptr)
-            config_.metricsRegistry->histogram("serve.step_time_s")
-                .observe(res.duration);
-        for (const Request &done : rec.completions)
-            recordCompletion(done);
-        steps_.push_back(res);
+        publishStep(b, buffers[b].steps[cursor[b]++],
+                    /*retune_spans=*/false);
     }
+    // Retune spans flush once per window, in engine order, after the
+    // window's steps (like replayRetuneMetrics()): the engines already
+    // hold the whole window's samples, and flushing them at the
+    // retuning step would reorder tied trace events and planner-track
+    // creation against the serial sweep of earlier windows.
     for (std::size_t i = 0; i < engines_.size(); ++i) {
         freeAt_[i] = buffers[i].freeAt;
         scheduleEngineWake(i);
-        profExecMs_ += buffers[i].execMs;
         emitRetuneSpans(i);
     }
     replayRetuneMetrics();

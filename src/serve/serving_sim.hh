@@ -519,8 +519,14 @@ class ServingSimulator
     /** Devices of engines not Stopped. */
     int poweredDevices() const;
 
-    /** Least-loaded live engine for a fresh arrival (replica mode). */
-    int pickEngineForArrival() const;
+    /** Per-engine load (waiting + running requests) right now. */
+    std::vector<int> engineLoads() const;
+
+    /** Least-loaded live (Active or Loading) engine under the `load`
+     * picture, ties to the lowest slot; -1 when none is live. The
+     * serial core passes live loads, the windowed core window-start
+     * loads plus the window's binned counts. */
+    int pickEngineForArrival(const std::vector<int> &load) const;
 
     /** Apply due reconfigurations: promote loaded engines, drain due
      * Draining engines (re-homing their requests), and re-partition
@@ -531,11 +537,20 @@ class ServingSimulator
     /** Admit every arrival due at or before now_ (horizon-bounded). */
     void pumpArrivals();
 
+    /** Draw the next offered arrival into lookahead_; false once the
+     * offering has closed at the horizon. */
+    bool peekArrival();
+
+    /** Count lookahead_ offered to engine `target`, emit its admit
+     * instant and lifecycle event, and consume it. */
+    void admitArrival(std::size_t target);
+
     /** Hand transferred contexts to the decode pool; set back-pressure. */
     void pumpMigrations();
 
     /** Route one pool's finished requests: metrics, or migration. */
-    void harvestFinished(int pool_index);
+    void harvestFinished(int pool_index,
+                         const std::vector<Request> &finished);
 
     /** Record one completed request: latency collector + histograms. */
     void recordCompletion(const Request &done);
@@ -543,6 +558,32 @@ class ServingSimulator
     /** Run every free engine with schedulable work at now_.
      * @return true when at least one engine executed a step. */
     bool runDueEngines();
+
+    /** One engine step, as recorded by advanceEngine() and emitted by
+     * publishStep(). */
+    struct StepRecord
+    {
+        bool ran = false; //!< false: the plan came back empty
+        ServingStepResult result; //!< start is set even when !ran
+        std::vector<PreemptionRecord> preempted; //!< planStep() evictions
+        std::vector<Request> finished;     //!< taken at commit
+        /** Sampled requests' residency shares of this step (empty
+         * unless a ReqTraceRecorder is attached). */
+        std::vector<ReqStepShare> shares;
+        double execMs = 0.0; //!< wall inside executeStep (selfProfile)
+    };
+
+    /** Plan, price and commit one step of engine `i` starting at
+     * `clock` into `rec`. Touches only engine `i` and `rec`, so the
+     * windowed core runs it on worker threads. */
+    void advanceEngine(std::size_t i, Seconds clock, StepRecord &rec);
+
+    /** Emit a recorded step of engine `i`: preemptions, request
+     * lifecycle, pool stats, KV metrics, step span, retune spans (when
+     * `retune_spans`; the window merge flushes them per window) and
+     * completions. Simulator thread only. */
+    void publishStep(std::size_t i, const StepRecord &rec,
+                     bool retune_spans);
 
     /** step() body (step() wraps it with snapshots + profiling). */
     bool stepOnce();
@@ -618,28 +659,12 @@ class ServingSimulator
 
     // ---- windowed event core (ServingConfig::desParallel) ----------
 
-    /** One engine step recorded off the simulator thread, replayed in
-     * deterministic order at the window merge. */
-    struct WindowStepRecord
-    {
-        ServingStepResult result;
-        std::vector<PreemptionRecord> preempted; //!< planStep() evictions
-        std::vector<Request> completions;  //!< harvested at commit
-        /** Sampled requests' residency shares of this step (empty
-         * unless a ReqTraceRecorder is attached); the merge replays
-         * them so the recorder only ever runs on the simulator
-         * thread. */
-        std::vector<ReqStepShare> shares;
-    };
-
     /** Everything one engine emits while advancing through a window. */
     struct WindowBuffer
     {
-        std::vector<WindowStepRecord> steps;
+        std::vector<StepRecord> steps;
         Seconds freeAt = 0.0;  //!< engine busy-until at window end
-        double execMs = 0.0;   //!< wall inside executeStep (selfProfile)
         double wallMs = 0.0;   //!< worker wall inside runEngineWindow
-        bool kvEnabled = false;
     };
 
     /** Windowed step(): advance every engine to the next barrier /
@@ -659,11 +684,11 @@ class ServingSimulator
                          const std::vector<Request> &arrivals,
                          WindowBuffer &buf);
 
-    /** Replay the window's buffered per-engine emission in (step
-     * start, engine index) order — the interleaving a serial sweep of
-     * the same windows would have produced — then refresh freeAt_ and
-     * the calendar. */
-    void mergeWindowBuffers(std::vector<WindowBuffer> &buffers);
+    /** Publish the window's buffered steps in (step start, engine
+     * index) order — the interleaving a serial sweep of the same
+     * windows would have produced — then refresh freeAt_ and the
+     * calendar. */
+    void mergeWindowBuffers(const std::vector<WindowBuffer> &buffers);
 
     /** Feed retune wall samples into the registry (windowed runs keep
      * EngineConfig::metrics detached so workers never race on it; the

@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -448,6 +449,93 @@ TEST(ServingSim, WindowedCoreCompletesEveryRequest)
     EXPECT_EQ(report.offered, report.completed);
     EXPECT_GT(report.steps, 0);
     EXPECT_GT(report.retunes, 0);
+}
+
+TEST(ServingSim, OneEngineCoresAgree)
+{
+    // On one engine the serial and windowed cores run the same step
+    // path and dispatch nothing, so every simulated report field and
+    // every step must be bit-identical. (Snapshot streams differ by
+    // design: the windowed core stamps snapshots on its grid.) The
+    // retune wall-time fields are real time and left out. KV modes:
+    // off, on, and on with long requests that fill the pool and
+    // preempt.
+    const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
+    for (const ServingPolicy policy :
+         {ServingPolicy::LaerServe, ServingPolicy::StaticEp,
+          ServingPolicy::FlexMoe}) {
+        for (const int mode : {0, 1, 2}) {
+            SCOPED_TRACE(std::string(servingPolicyName(policy)) +
+                         " kv mode " + std::to_string(mode));
+            const bool kv = mode > 0;
+            ServingConfig serial = smallServingConfig(policy);
+            if (kv)
+                serial.hbmPerDevice =
+                    static_cast<Bytes>(12.65 * (1LL << 30));
+            if (mode == 2) {
+                serial.arrival.meanPrefillTokens = 1024;
+                serial.arrival.meanDecodeTokens = 128;
+            }
+            ServingConfig windowed = serial;
+            windowed.desParallel = true;
+            ServingSimulator a(cluster, serial);
+            ServingSimulator b(cluster, windowed);
+            const ServingReport ra = a.run();
+            const ServingReport rb = b.run();
+            EXPECT_GT(ra.completed, 0);
+            EXPECT_EQ(ra.kvBudgetBytes > 0, kv);
+            EXPECT_EQ(ra.preemptions > 0, mode == 2);
+            EXPECT_EQ(ra.offered, rb.offered);
+            EXPECT_EQ(ra.completed, rb.completed);
+            EXPECT_EQ(ra.sloMet, rb.sloMet);
+            EXPECT_EQ(ra.steps, rb.steps);
+            EXPECT_EQ(ra.retunes, rb.retunes);
+            EXPECT_EQ(ra.elapsed, rb.elapsed);
+            EXPECT_EQ(ra.ttftP50, rb.ttftP50);
+            EXPECT_EQ(ra.ttftP90, rb.ttftP90);
+            EXPECT_EQ(ra.ttftP99, rb.ttftP99);
+            EXPECT_EQ(ra.tpotP50, rb.tpotP50);
+            EXPECT_EQ(ra.tpotP99, rb.tpotP99);
+            EXPECT_EQ(ra.throughputTps, rb.throughputTps);
+            EXPECT_EQ(ra.goodputTps, rb.goodputTps);
+            EXPECT_EQ(ra.meanBatchTokens, rb.meanBatchTokens);
+            EXPECT_EQ(ra.meanStepTime, rb.meanStepTime);
+            EXPECT_EQ(ra.meanMaxRelTokens, rb.meanMaxRelTokens);
+            EXPECT_EQ(ra.migrationTotal, rb.migrationTotal);
+            EXPECT_EQ(ra.kvBudgetBytes, rb.kvBudgetBytes);
+            EXPECT_EQ(ra.preemptions, rb.preemptions);
+            EXPECT_EQ(ra.preemptionsByClass, rb.preemptionsByClass);
+            EXPECT_EQ(ra.meanKvUtilization, rb.meanKvUtilization);
+            EXPECT_EQ(ra.peakKvUtilization, rb.peakKvUtilization);
+            EXPECT_EQ(ra.migrated, rb.migrated);
+            EXPECT_EQ(ra.kvTransferBytes, rb.kvTransferBytes);
+            EXPECT_EQ(ra.kvTransferSeconds, rb.kvTransferSeconds);
+            EXPECT_EQ(ra.transferStallSeconds, rb.transferStallSeconds);
+            EXPECT_EQ(ra.swapOutBytes, rb.swapOutBytes);
+            EXPECT_EQ(ra.swapInBytes, rb.swapInBytes);
+            EXPECT_EQ(ra.swapSeconds, rb.swapSeconds);
+            EXPECT_EQ(ra.deviceSeconds, rb.deviceSeconds);
+            ASSERT_EQ(ra.pools.size(), rb.pools.size());
+            for (std::size_t p = 0; p < ra.pools.size(); ++p) {
+                EXPECT_EQ(ra.pools[p].steps, rb.pools[p].steps);
+                EXPECT_EQ(ra.pools[p].preemptions, rb.pools[p].preemptions);
+                EXPECT_EQ(ra.pools[p].meanKvUtilization,
+                          rb.pools[p].meanKvUtilization);
+                EXPECT_EQ(ra.pools[p].peakKvUtilization,
+                          rb.pools[p].peakKvUtilization);
+            }
+            ASSERT_EQ(a.stepResults().size(), b.stepResults().size());
+            for (std::size_t i = 0; i < a.stepResults().size(); ++i) {
+                const ServingStepResult &sa = a.stepResults()[i];
+                const ServingStepResult &sb = b.stepResults()[i];
+                EXPECT_EQ(sa.start, sb.start) << "step " << i;
+                EXPECT_EQ(sa.duration, sb.duration) << "step " << i;
+                EXPECT_EQ(sa.tokens, sb.tokens) << "step " << i;
+                EXPECT_EQ(sa.kvUtilization, sb.kvUtilization)
+                    << "step " << i;
+            }
+        }
+    }
 }
 
 TEST(ServingSim, RetuneWallTimesAndBudgetOverrunsAreReported)
