@@ -4,7 +4,13 @@
 #      resolve to an existing file (anchors are stripped first);
 #   2. every public header in src/serve/, src/ctrl/, src/obs/,
 #      src/fault/ and src/difftest/ must carry a file-level Doxygen
-#      `@file` comment.
+#      `@file` comment;
+#   3. every backticked source path in README.md and docs/*.md must
+#      exist, resolved from the repo root or from src/. A token counts
+#      as a path when it has a directory part, ends in a file
+#      extension, and starts with a top-level directory or a src/
+#      subdirectory (`core/stats.hh`, `perfbench/run.py`); a
+#      `name.{hh,cc}` suffix is checked for each alternative.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -31,6 +37,48 @@ check_links() {
 for md in README.md docs/*.md; do
     [ -e "$md" ] || continue
     check_links "$md"
+done
+
+is_path_root() {
+    [ -d "$1" ] || [ -d "src/$1" ]
+}
+
+check_paths() {
+    local md="$1"
+    local token base alts alt
+    while IFS= read -r token; do
+        case "$token" in
+            */*) ;;
+            *) continue ;;
+        esac
+        is_path_root "${token%%/*}" || continue
+        # `dir/name.{hh,cc}` names one file per alternative.
+        if [[ "$token" =~ ^([^{}]*)\{([A-Za-z0-9,]+)\}$ ]]; then
+            base="${BASH_REMATCH[1]}"
+            alts="${BASH_REMATCH[2]}"
+            for alt in ${alts//,/ }; do
+                check_path "$md" "$base$alt"
+            done
+        else
+            check_path "$md" "$token"
+        fi
+    done < <(grep -oE '`[^` ]+`' "$md" | tr -d '`')
+}
+
+check_path() {
+    local md="$1" path="$2"
+    [[ "$path" =~ \.[A-Za-z0-9]+$ ]] || return 0
+    # compgen -G also resolves glob tokens such as `tests/test_*.cc`.
+    if ! compgen -G "$path" > /dev/null &&
+       ! compgen -G "src/$path" > /dev/null; then
+        echo "STALE PATH: $md -> \`$path\`"
+        status=1
+    fi
+}
+
+for md in README.md docs/*.md; do
+    [ -e "$md" ] || continue
+    check_paths "$md"
 done
 
 for hh in src/serve/*.hh src/ctrl/*.hh src/obs/*.hh \

@@ -18,7 +18,7 @@
  *    is replayed from its seed alone.
  *
  * expandFaultPlan() resolves both into one time-sorted event list the
- * simulator walks against its event calendar. The fault kinds:
+ * simulator walks against its next-event scan. The fault kinds:
  *
  *  - ReplicaFail / ReplicaRepair: fail-stop of one engine slice and
  *    its rebuild (spin-up priced over the host link, like any scale

@@ -75,18 +75,6 @@ evenStartLayout(const Cluster &topo, int n_experts, int capacity)
         capacity);
 }
 
-/** Transpose a volume matrix (combine reverses dispatch). */
-VolumeMatrix
-transposeVolume(const VolumeMatrix &volume)
-{
-    const std::size_t n = volume.size();
-    VolumeMatrix out(n, std::vector<Bytes>(n, 0));
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t k = 0; k < n; ++k)
-            out[k][i] = volume[i][k];
-    return out;
-}
-
 } // namespace
 
 ServingEngine::ServingEngine(const DevicePoolSlice &slice,
@@ -356,25 +344,17 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
     res.migration = updateLayouts(routing, res);
 
     // Per-layer route + price fan-out into the reusable scratch
-    // slots. The lite-routed policies go through the sparse plan (the
-    // dense S and volume matrices never exist) and are priced from its
-    // port loads; all sums are exact integers, so the priced times are
-    // bit-identical to the dense formulation. StaticEp routes its
-    // grouped dense plan and is priced from the dense dispatch
-    // VolumeMatrix and its transpose via a2aBottleneckTime.
+    // slots. Only the routing step differs by policy: the lite-routed
+    // policies fill the sparse plan directly (the dense S and volume
+    // matrices never exist); StaticEp routes its grouped dense plan
+    // and compresses it. Every policy is then priced from the plan's
+    // port loads; all sums are exact integers, so the priced times
+    // are bit-identical to the dense a2aBottleneckTime formulation.
     runLayers([&](int l) {
         const auto li = static_cast<std::size_t>(l);
         if (config_.policy == ServingPolicy::StaticEp) {
-            const RoutingPlan plan = staticEpRouting(
-                routing[li], grouping_, layouts_[li]);
-            const VolumeMatrix vol =
-                plan.dispatchVolume(model.tokenBytes());
-            layerDispatch_[li] =
-                kCollectiveAlpha + a2aBottleneckTime(topo, vol);
-            layerCombine_[li] =
-                kCollectiveAlpha +
-                a2aBottleneckTime(topo, transposeVolume(vol));
-            recvTokens_[li] = plan.receivedTokens();
+            sparsePlans_[li] = RoutingPlanSparse::fromDense(
+                staticEpRouting(routing[li], grouping_, layouts_[li]));
         } else {
             if (indexDirty_[li]) {
                 replicaIndex_[li].rebuild(topo, layouts_[li]);
@@ -382,17 +362,17 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
             }
             liteRoutingSparse(topo, routing[li], replicaIndex_[li],
                               sparsePlans_[li]);
-            sparsePlans_[li].portLoads(topo, model.tokenBytes(),
-                                       portLoads_[li]);
-            layerDispatch_[li] =
-                kCollectiveAlpha +
-                a2aBottleneckTimeFromLoads(topo, portLoads_[li]);
-            layerCombine_[li] =
-                kCollectiveAlpha +
-                a2aBottleneckTimeFromLoads(topo, portLoads_[li],
-                                           /*transpose=*/true);
-            sparsePlans_[li].receivedTokens(recvTokens_[li]);
         }
+        sparsePlans_[li].portLoads(topo, model.tokenBytes(),
+                                   portLoads_[li]);
+        layerDispatch_[li] =
+            kCollectiveAlpha +
+            a2aBottleneckTimeFromLoads(topo, portLoads_[li]);
+        layerCombine_[li] =
+            kCollectiveAlpha +
+            a2aBottleneckTimeFromLoads(topo, portLoads_[li],
+                                       /*transpose=*/true);
+        sparsePlans_[li].receivedTokens(recvTokens_[li]);
         recvDouble_[li].assign(recvTokens_[li].begin(),
                                recvTokens_[li].end());
         layerImbalance_[li] = imbalanceFactor(recvDouble_[li]);

@@ -20,12 +20,14 @@
  * step's finish time). Swap-style preemption traffic recorded by the
  * batcher is charged here at the host-link bandwidth.
  *
- * Step pricing for the lite-routed policies runs on the sparse hot
- * path: per-layer `RoutingPlanSparse` built against a cached
- * `ReplicaIndex` (rebuilt only when the layout changes) with scratch
- * buffers reused across steps, so neither the dense N x E x N plan
- * nor the dense volume matrices exist at any point — the priced times
- * are bit-identical to the dense formulation. Per-layer tune/route
+ * Step pricing runs on the sparse hot path for every policy: a
+ * per-layer `RoutingPlanSparse` priced from its port loads, with
+ * scratch buffers reused across steps, so the dense volume matrices
+ * never exist — the priced times are bit-identical to the dense
+ * formulation. The lite-routed policies build the plan against a
+ * cached `ReplicaIndex` (rebuilt only when the layout changes), so
+ * the dense N x E x N plan never exists either; StaticEp compresses
+ * its grouped dense plan. Per-layer tune/route
  * work fans out over an optional `ThreadPool`; LAER retunes are
  * wall-clock timed against `tunerBudgetMs`.
  */

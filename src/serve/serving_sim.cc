@@ -148,21 +148,6 @@ ServingSimulator::ServingSimulator(const Cluster &cluster,
     desParallel_ = config_.desParallel;
     barrier_ = kNever;
     retuneReplayed_.assign(engines_.size(), 0);
-    // Calendar handles: one per engine (keyed by index) plus the two
-    // singleton streams. Nothing is scheduled yet — every engine is
-    // free at t = 0 and the first arrival is unknown until the first
-    // pump.
-    for (std::size_t i = 0; i < engines_.size(); ++i)
-        engineWake_.push_back(
-            calendar_.makeHandle(static_cast<int>(i)));
-    arrivalWake_ =
-        calendar_.makeHandle(static_cast<int>(engines_.size()));
-    migrationWake_ =
-        calendar_.makeHandle(static_cast<int>(engines_.size()) + 1);
-    faultWake_ =
-        calendar_.makeHandle(static_cast<int>(engines_.size()) + 2);
-    retryWake_ =
-        calendar_.makeHandle(static_cast<int>(engines_.size()) + 3);
     // Fault injection is strictly opt-in: with the plan empty every
     // hook below stays behind one bool and the run is byte-for-byte
     // with its fault-free history.
@@ -460,7 +445,6 @@ ServingSimulator::requestReplicas(int target)
                 EngineState::Loading);
             const Seconds d = loadDelayFor(slices_[i]);
             freeAt_[i] = now_ + d;
-            scheduleEngineWake(i);
             delay = std::max(delay, d);
             ++spun;
         }
@@ -492,7 +476,6 @@ ServingSimulator::requestReplicas(int target)
                 freeAt_[i] = now_; // no step in flight: drain at once
             engines_[i]->beginDrain();
             drainStart_[static_cast<std::size_t>(i)] = now_;
-            scheduleEngineWake(static_cast<std::size_t>(i));
             --to_drain;
         }
         applyReconfig();
@@ -561,7 +544,6 @@ ServingSimulator::requestSplit(int prefill_devices)
             freeAt_[i] = now_; // no step in flight: drain at once
         engines_[i]->beginDrain();
         drainStart_[static_cast<std::size_t>(i)] = now_;
-        scheduleEngineWake(static_cast<std::size_t>(i));
     }
     applyReconfig();
     return true;
@@ -793,7 +775,6 @@ ServingSimulator::applyReconfig()
                 faultDownSince_[i] = -1.0;
                 updateDegraded();
             }
-            scheduleEngineWake(i);
         }
 
     // Complete due drains. A Draining engine with freeAt_ <= now_ has
@@ -841,11 +822,9 @@ ServingSimulator::applyReconfig()
                     LAER_REQ_EVENT(config_.reqTrace,
                                    onRehome(r.id, now_,
                                             static_cast<int>(target)));
-                scheduleEngineWake(target);
             }
             pending_.rehomed += static_cast<int>(evicted.size());
         }
-        scheduleEngineWake(i);
     }
 
     if (!pending_.active)
@@ -879,7 +858,6 @@ ServingSimulator::applyReconfig()
             }
             pending_.rehomed +=
                 static_cast<int>(pending_.held[i].size());
-            scheduleEngineWake(static_cast<std::size_t>(i));
         }
         ScalingEvent event;
         event.requested = pending_.requestedAt;
@@ -998,10 +976,8 @@ ServingSimulator::pumpArrivals()
         } else {
             engines_[0]->enqueue(lookahead_);
         }
-        scheduleEngineWake(target);
         admitArrival(target);
     }
-    scheduleArrivalWake();
 }
 
 void
@@ -1171,7 +1147,6 @@ ServingSimulator::harvestFinished(int pool_index,
         kvTransferSeconds_ += wire;
         ++migrated_;
     }
-    scheduleMigrationWake();
 }
 
 void
@@ -1197,9 +1172,7 @@ ServingSimulator::pumpMigrations()
                                            now_));
         decode.enqueue(m.request);
         migrations_.pop_front();
-        scheduleEngineWake(1);
     }
-    scheduleMigrationWake();
     // Back-pressure: a transferred context stuck at the decode pool's
     // door closes prefill admission until the decode pool drains. A
     // draining prefill pool keeps its admission shut regardless.
@@ -1277,7 +1250,6 @@ ServingSimulator::applyFaults()
     for (std::size_t i = 0; i < engines_.size(); ++i)
         if (pendingKill_[i] && freeAt_[i] <= now_)
             applyKill(i);
-    scheduleFaultWake();
 }
 
 void
@@ -1349,7 +1321,6 @@ ServingSimulator::applyFaultEvent(const FaultEvent &event)
             abortTransfer(std::move(m.request), decode_target,
                           m.readyAt);
         }
-        scheduleMigrationWake();
         updateDegraded();
         break;
     }
@@ -1464,7 +1435,6 @@ ServingSimulator::resizePoolKv(std::size_t i)
         engines_[i]->resizeKvBudget(budget);
     for (const Request &r : unservable)
         failRequest(r);
-    scheduleEngineWake(i);
 }
 
 void
@@ -1488,7 +1458,6 @@ ServingSimulator::applyKill(std::size_t i)
     // cleared); the retry queue re-admits them after backoff.
     for (Request &r : evicted)
         scheduleRetry(std::move(r), now_);
-    scheduleEngineWake(i); // cancels: a dead engine never wakes
 }
 
 void
@@ -1507,7 +1476,6 @@ ServingSimulator::applyRepair(std::size_t i)
         EngineState::Loading);
     const Seconds delay = loadDelayFor(slices_[i]);
     freeAt_[i] = now_ + delay;
-    scheduleEngineWake(i);
     ScalingEvent event;
     event.requested = now_;
     event.applied = now_ + delay;
@@ -1579,7 +1547,6 @@ ServingSimulator::scheduleRetry(Request request, Seconds killed_at)
                              return a.readyAt < b.readyAt;
                          }),
         std::move(retry));
-    scheduleRetryWake();
 }
 
 void
@@ -1669,46 +1636,7 @@ ServingSimulator::pumpRetries()
         // its failure and must not queue behind the backlog again.
         engines_[static_cast<std::size_t>(target)]->enqueueFront(
             retry.request);
-        scheduleEngineWake(static_cast<std::size_t>(target));
     }
-    scheduleRetryWake();
-}
-
-void
-ServingSimulator::scheduleFaultWake()
-{
-    Seconds t = kNever;
-    if (nextFault_ < faultPlan_.size() &&
-        faultPlan_[nextFault_].time > now_)
-        t = faultPlan_[nextFault_].time;
-    for (std::size_t i = 0; i < engines_.size(); ++i)
-        if (pendingKill_[i] && freeAt_[i] > now_)
-            t = std::min(t, freeAt_[i]);
-    if (t == kNever) {
-        calendar_.cancel(faultWake_);
-        return;
-    }
-    if (calendar_.scheduled(faultWake_) &&
-        calendar_.timeOf(faultWake_) == t)
-        return;
-    calendar_.schedule(faultWake_, t);
-}
-
-void
-ServingSimulator::scheduleRetryWake()
-{
-    // A due-but-blocked retry front is not an event (the arrival-door
-    // idiom): pumpRetries re-evaluates it each step, and the revival
-    // it waits on has its own wake.
-    if (retryQueue_.empty() || retryQueue_.front().readyAt <= now_) {
-        calendar_.cancel(retryWake_);
-        return;
-    }
-    const Seconds ready = retryQueue_.front().readyAt;
-    if (calendar_.scheduled(retryWake_) &&
-        calendar_.timeOf(retryWake_) == ready)
-        return;
-    calendar_.schedule(retryWake_, ready);
 }
 
 void
@@ -1818,7 +1746,6 @@ ServingSimulator::runDueEngines()
         if (rec.ran)
             freeAt_[i] = now_ + rec.result.duration;
         publishStep(i, rec, /*retune_spans=*/true);
-        scheduleEngineWake(i);
         if (!rec.ran)
             continue;
         if (shared_layout) {
@@ -1835,62 +1762,16 @@ ServingSimulator::runDueEngines()
     return ran;
 }
 
-void
-ServingSimulator::scheduleEngineWake(std::size_t i)
-{
-    // Busy engines with work wake at their finish; Loading and
-    // Draining engines wake regardless — the ready/idle moment is
-    // itself the event the control plane is waiting on. Past times
-    // are not events: the pumps re-evaluate every source each step,
-    // so a due-but-unserviceable wake never wedges the clock.
-    const EngineState state = engines_[i]->state();
-    const bool wakes = (engines_[i]->hasWork() ||
-                        state == EngineState::Loading ||
-                        state == EngineState::Draining) &&
-                       freeAt_[i] > now_;
-    const EventCalendar::Handle h = engineWake_[i];
-    if (!wakes) {
-        calendar_.cancel(h);
-        return;
-    }
-    if (calendar_.scheduled(h) && calendar_.timeOf(h) == freeAt_[i])
-        return; // unchanged: keep the live heap entry
-    calendar_.schedule(h, freeAt_[i]);
-}
-
-void
-ServingSimulator::scheduleArrivalWake()
-{
-    // A due-but-held arrival (front door closed during a
-    // reconfiguration) is not a future event; the drain/load wake-ups
-    // drive the clock until the door reopens.
-    if (!lookaheadValid_ || lookahead_.arrival <= now_) {
-        calendar_.cancel(arrivalWake_);
-        return;
-    }
-    if (calendar_.scheduled(arrivalWake_) &&
-        calendar_.timeOf(arrivalWake_) == lookahead_.arrival)
-        return;
-    calendar_.schedule(arrivalWake_, lookahead_.arrival);
-}
-
-void
-ServingSimulator::scheduleMigrationWake()
-{
-    if (migrations_.empty() || migrations_.front().readyAt <= now_) {
-        calendar_.cancel(migrationWake_);
-        return;
-    }
-    const Seconds ready = migrations_.front().readyAt;
-    if (calendar_.scheduled(migrationWake_) &&
-        calendar_.timeOf(migrationWake_) == ready)
-        return;
-    calendar_.schedule(migrationWake_, ready);
-}
-
 Seconds
-ServingSimulator::legacyNextEventTime() const
+ServingSimulator::nextEventTime() const
 {
+    // One scan over every source of future events. Only times
+    // strictly after now_ count: the pumps re-evaluate every source
+    // each step, so a due-but-unserviceable source (an arrival held
+    // at a closed door, a retry with no live engine) never wedges the
+    // clock. Busy engines with work wake at their finish; Loading and
+    // Draining engines wake regardless, since the ready/idle moment is
+    // itself the event the control plane is waiting on.
     Seconds t = kNever;
     for (std::size_t i = 0; i < engines_.size(); ++i) {
         const EngineState state = engines_[i]->state();
@@ -1905,10 +1786,9 @@ ServingSimulator::legacyNextEventTime() const
     if (!migrations_.empty() && migrations_.front().readyAt > now_)
         t = std::min(t, migrations_.front().readyAt);
     if (faultsEnabled_) {
-        // Mirror of scheduleFaultWake()/scheduleRetryWake(): the next
-        // scripted event, any deferred kill boundary, and the retry
-        // front. Due-but-blocked retries are not events (pumpRetries
-        // re-evaluates them; a revival's own wake drives the clock).
+        // The next scripted event, any deferred kill boundary, and the
+        // retry front. A due-but-blocked retry waits on a revival,
+        // whose own engine wake drives the clock.
         if (nextFault_ < faultPlan_.size() &&
             faultPlan_[nextFault_].time > now_)
             t = std::min(t, faultPlan_[nextFault_].time);
@@ -1919,20 +1799,6 @@ ServingSimulator::legacyNextEventTime() const
             retryQueue_.front().readyAt > now_)
             t = std::min(t, retryQueue_.front().readyAt);
     }
-    return t;
-}
-
-Seconds
-ServingSimulator::nextEventTime()
-{
-    const Seconds t = calendar_.peekTime();
-#ifndef NDEBUG
-    // Debug oracle: the calendar must agree with the exhaustive scan
-    // it replaced. Release builds skip the O(engines) walk — that
-    // walk being gone is the point of the calendar.
-    LAER_ASSERT(t == legacyNextEventTime(),
-                "event calendar disagrees with the legacy event scan");
-#endif
     return t;
 }
 
@@ -2014,7 +1880,7 @@ ServingSimulator::stepWindow()
 
     // The window runs to the next control barrier or snapshot
     // boundary, whichever comes first. Both are time grids, not
-    // calendar events: the serial core's clock lands ON events, the
+    // scanned events: the serial core's clock lands ON events, the
     // windowed core's clock walks the grid.
     Seconds window_end = barrier_;
     if (config_.metricsRegistry != nullptr &&
@@ -2141,8 +2007,6 @@ ServingSimulator::binWindowArrivals(Seconds window_end)
         ++load[target];
         admitArrival(target);
     }
-    // Keep the calendar coherent for a later serial fallback.
-    scheduleArrivalWake();
     return bins;
 }
 
@@ -2237,7 +2101,6 @@ ServingSimulator::mergeWindowBuffers(const std::vector<WindowBuffer> &buffers)
     // creation against the serial sweep of earlier windows.
     for (std::size_t i = 0; i < engines_.size(); ++i) {
         freeAt_[i] = buffers[i].freeAt;
-        scheduleEngineWake(i);
         emitRetuneSpans(i);
     }
     replayRetuneMetrics();
@@ -2376,7 +2239,7 @@ ServingSimulator::buildReport() const
     // counters plus the carry-over of rebuilt engines, the same carry
     // discipline as report.retunes above. The latency collector sees
     // the same events through the per-step drain, so the two paths
-    // must agree — the debug assert pins that identity (and with it,
+    // must agree — the assert pins that identity (and with it,
     // byte-identical reports).
     std::int64_t preemptions = retiredPreemptions_;
     std::vector<std::int64_t> by_class = retiredPreemptionsByClass_;
@@ -2392,7 +2255,6 @@ ServingSimulator::buildReport() const
         for (std::size_t c = 0; c < pc.size(); ++c)
             by_class[c] += pc[c];
     }
-#ifndef NDEBUG
     LAER_ASSERT(preemptions == metrics_.totalPreemptions(),
                 "engine preemption counters disagree with the latency "
                 "collector");
@@ -2402,7 +2264,6 @@ ServingSimulator::buildReport() const
                     "per-class preemption counters disagree with the "
                     "latency collector for class "
                         << c);
-#endif
     report.preemptions = preemptions;
     report.preemptionsByClass = std::move(by_class);
     report.meanKvUtilization = metrics_.meanKvUtilization();

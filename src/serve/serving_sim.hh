@@ -52,7 +52,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/event_calendar.hh"
 #include "core/stats.hh"
 #include "fault/fault.hh"
 #include "model/config.hh"
@@ -622,7 +621,7 @@ class ServingSimulator
      * work has already been attributed (the prefill finish for a
      * handover that never touched the wire, the wire's would-be end
      * for one cut in flight) — the retry dead time starts there, not
-     * at the calendar event that noticed the cut, so the per-request
+     * at the event that noticed the cut, so the per-request
      * attribution stays exact. */
     void abortTransfer(Request request, TokenCount decode_target,
                        Seconds killed_at);
@@ -642,13 +641,6 @@ class ServingSimulator
     /** True while a currently-unservable retry should keep waiting:
      * an engine is Loading, or the plan still holds a repair. */
     bool reviveExpected() const;
-
-    /** Refresh the fault-plan calendar entry (next scripted event or
-     * deferred-kill boundary). */
-    void scheduleFaultWake();
-
-    /** Refresh the retry-front calendar entry. */
-    void scheduleRetryWake();
 
     /** Re-evaluate the degraded predicate after any fault-state
      * transition; accrues degraded time and its goodput window. */
@@ -686,27 +678,13 @@ class ServingSimulator
 
     /** Publish the window's buffered steps in (step start, engine
      * index) order — the interleaving a serial sweep of the same
-     * windows would have produced — then refresh freeAt_ and the
-     * calendar. */
+     * windows would have produced — then refresh freeAt_. */
     void mergeWindowBuffers(const std::vector<WindowBuffer> &buffers);
 
     /** Feed retune wall samples into the registry (windowed runs keep
      * EngineConfig::metrics detached so workers never race on it; the
      * samples land here, serially, instead). */
     void replayRetuneMetrics();
-
-    // ---- event calendar (core/event_calendar.hh) -------------------
-
-    /** Refresh engine `i`'s calendar entry from its state/freeAt_;
-     * call after every mutation that can change when (or whether) the
-     * engine wakes. */
-    void scheduleEngineWake(std::size_t i);
-
-    /** Refresh the next-arrival singleton entry from the lookahead. */
-    void scheduleArrivalWake();
-
-    /** Refresh the migration-front singleton entry. */
-    void scheduleMigrationWake();
 
     // ---- observability plumbing (no-ops when nothing is attached) --
 
@@ -767,13 +745,11 @@ class ServingSimulator
      * check, per-class aggregation, Perfetto emission. */
     void retireSampledRequest(const Request &done);
 
-    /** Earliest future event (engine finish, arrival, transfer);
-     * +infinity when the run has fully drained. O(log sources) off
-     * the calendar; debug builds cross-check the legacy scan. */
-    Seconds nextEventTime();
-
-    /** The pre-calendar O(engines) scan, kept as the debug oracle. */
-    Seconds legacyNextEventTime() const;
+    /** Earliest future event: an engine finish or wake, the next
+     * arrival, the migration front, and (faulted runs) the next
+     * scripted fault, a deferred kill or the retry front; +infinity
+     * when the run has fully drained. One O(engines) scan. */
+    Seconds nextEventTime() const;
 
     /** Build the report from the current state (run()/finish()). */
     ServingReport buildReport() const;
@@ -814,16 +790,6 @@ class ServingSimulator
     bool lookaheadValid_ = false;
     bool offeringClosed_ = false;
     Seconds now_ = 0.0;
-
-    // Event calendar: one wake handle per engine (keyed by index, so
-    // simultaneous wakes pop in engine order) plus singleton streams.
-    // Entries always lie strictly in the future of now_.
-    EventCalendar calendar_;
-    std::vector<EventCalendar::Handle> engineWake_;
-    EventCalendar::Handle arrivalWake_ = EventCalendar::kInvalidHandle;
-    EventCalendar::Handle migrationWake_ = EventCalendar::kInvalidHandle;
-    EventCalendar::Handle faultWake_ = EventCalendar::kInvalidHandle;
-    EventCalendar::Handle retryWake_ = EventCalendar::kInvalidHandle;
 
     // Fault-injection state (src/fault/; untouched when disabled).
     struct PendingRetry

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/static_ep.hh"
 #include "core/rng.hh"
 #include "difftest/diff.hh"
 #include "planner/lite_routing.hh"
@@ -108,31 +109,29 @@ TEST(RoutingPlanSparse, PortLoadPricingIsBitIdenticalToDense)
 {
     const Cluster c = cluster24();
     const Bytes token_bytes = 8192;
-    // Bit-identity through the diff harness: one checkpoint per seed
-    // on each side; a regression reports the first diverging seed and
+    // The serving engine prices both plan sources from port loads:
+    // lite-routed plans built sparse, and StaticEP's grouped dense
+    // plan compressed with fromDense. Both must match the dense
+    // volume-matrix pricing.
+    const EpGrouping grouping(c, /*ep_degree=*/4, /*span_nodes=*/true);
+    const ExpertLayout static_layout = staticEpLayout(c, 8, grouping);
+    // Bit-identity through the diff harness: one checkpoint per plan
+    // on each side; a regression reports the first diverging plan and
     // quantity instead of a bare EXPECT_EQ failure.
     SnapshotStream dense_stream, sparse_stream;
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        const ExpertLayout layout =
-            randomFeasibleLayout(c, 8, 2, seed);
-        const RoutingMatrix r =
-            randomRouting(c.numDevices(), 8, seed + 29, 513);
-        const RoutingPlan dense = liteRouting(c, r, layout);
-
+    auto check = [&](const RoutingPlan &dense,
+                     const RoutingPlanSparse &sparse, Seconds key) {
         const VolumeMatrix vol = dense.dispatchVolume(token_bytes);
         VolumeMatrix combine = zeroVolume(dense.numDevices());
         for (std::size_t i = 0; i < vol.size(); ++i)
             for (std::size_t k = 0; k < vol.size(); ++k)
                 combine[k][i] = vol[i][k];
 
-        const ReplicaIndex index(c, layout);
-        RoutingPlanSparse sparse;
-        liteRoutingSparse(c, r, index, sparse);
         A2aPortLoads loads;
         sparse.portLoads(c, token_bytes, loads);
 
         CounterSnapshot ds, ss;
-        ds.simTime = ss.simTime = static_cast<Seconds>(seed);
+        ds.simTime = ss.simTime = key;
         ds.values = {
             {"dispatch_s", a2aBottleneckTime(c, vol)},
             {"combine_s", a2aBottleneckTime(c, combine)},
@@ -146,6 +145,23 @@ TEST(RoutingPlanSparse, PortLoadPricingIsBitIdenticalToDense)
         sparse_stream.snapshots.push_back(ss);
 
         EXPECT_EQ(sparse.dispatchVolume(token_bytes), vol);
+    };
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        const ExpertLayout layout =
+            randomFeasibleLayout(c, 8, 2, seed);
+        const RoutingMatrix r =
+            randomRouting(c.numDevices(), 8, seed + 29, 513);
+
+        const ReplicaIndex index(c, layout);
+        RoutingPlanSparse sparse;
+        liteRoutingSparse(c, r, index, sparse);
+        check(liteRouting(c, r, layout), sparse,
+              static_cast<Seconds>(seed));
+
+        const RoutingPlan static_plan =
+            staticEpRouting(r, grouping, static_layout);
+        check(static_plan, RoutingPlanSparse::fromDense(static_plan),
+              static_cast<Seconds>(seed) + 0.5);
     }
     // Exact comparison (relTol 0): the fold is exact integer
     // arithmetic on both sides, so every priced time must be
