@@ -16,7 +16,8 @@
  * so scripts/bench_diff.py can gate the perf trajectory against the
  * committed bench/BENCH_fig15.baseline.json; the JSON also carries
  * the lower-is-better reciprocals (wall_ms_per_sim_s,
- * wall_us_per_request) bench_diff's ratio logic compares.
+ * wall_us_per_request) bench_diff's ratio logic compares, and a
+ * "host" fingerprint (core/host_info.hh).
  *
  * In full mode the run must clear the committed floors (kMinSimRate /
  * kMinReqRate, conservative measurements on a 1-core CI box) or the
@@ -46,6 +47,7 @@
 
 #include "core/cli.hh"
 #include "core/error.hh"
+#include "core/host_info.hh"
 #include "model/config.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -233,6 +235,7 @@ try {
         json << "{\n"
              << "  \"bench\": \"fig15_million_requests\",\n"
              << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
+             << "  \"host\": " << hostJson(probeHost()) << ",\n"
              << "  \"scales\": [\n"
              << "    {\"devices\": " << cluster.numDevices()
              << ", \"requests_offered\": " << windowed.offered

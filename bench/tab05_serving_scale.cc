@@ -24,7 +24,8 @@
  * against --tuner-budget-ms, as reported in ServingReport.
  *
  * Results land in BENCH_tab04.json (see --out) so CI can track the
- * perf trajectory (scripts/bench_diff.py). At >= 512 devices the
+ * perf trajectory (scripts/bench_diff.py), stamped with a "host"
+ * fingerprint (core/host_info.hh). At >= 512 devices the
  * sparse+parallel arms must be >= 10x faster than the dense serial
  * arms or the bench exits non-zero.
  *
@@ -50,6 +51,7 @@
 #include "core/cli.hh"
 #include "obs/obs.hh"
 #include "core/error.hh"
+#include "core/host_info.hh"
 #include "core/rng.hh"
 #include "core/table.hh"
 #include "difftest/diff.hh"
@@ -479,6 +481,7 @@ try {
              << "  \"threads\": " << pool.numThreads() << ",\n"
              << "  \"budget_ms\": " << budget_ms << ",\n"
              << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
+             << "  \"host\": " << hostJson(probeHost()) << ",\n"
              << "  \"scales\": [\n";
         for (std::size_t i = 0; i < results.size(); ++i) {
             const ScaleResult &r = results[i];

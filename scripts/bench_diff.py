@@ -19,6 +19,10 @@ hot path — the dense arms exist to document the gap, and CI machines
 differ enough that absolute dense wall times are noise. Other bench
 files (e.g. BENCH_fig15.json) pass their own lower-is-better metric
 names via --metrics. Speedups going *up* never fail.
+
+Both files' "host" fingerprints (nproc, CPU, compiler, build type) are
+printed first, "unknown" when a file has none; differing hosts only
+warn, since wall times from different machines compare loosely.
 """
 
 import argparse
@@ -46,6 +50,14 @@ def unit_of(metric):
     return f"{unit}/{per}" if per else unit
 
 
+def describe_host(host):
+    """One-line summary of a BENCH file's "host" object."""
+    if not isinstance(host, dict):
+        return "unknown"
+    return (f"{host.get('cpu', '?')}, nproc {host.get('nproc', '?')}, "
+            f"{host.get('compiler', '?')}, {host.get('build_type', '?')}")
+
+
 def load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -68,7 +80,7 @@ def load(path):
         except (TypeError, ValueError):
             sys.exit(f"bench_diff: {path}: scales[{i}] has "
                      f"non-integer devices: {s['devices']!r}")
-    return by_devices
+    return by_devices, describe_host(data.get("host"))
 
 
 def main():
@@ -88,8 +100,13 @@ def main():
         if not metrics:
             sys.exit("bench_diff: --metrics names no metric")
 
-    current = load(args.current)
-    baseline = load(args.baseline)
+    current, current_host = load(args.current)
+    baseline, baseline_host = load(args.baseline)
+    print(f"current host:  {current_host}")
+    print(f"baseline host: {baseline_host}")
+    if current_host != baseline_host:
+        print("bench_diff: warning: the hosts differ; wall-time ratios "
+              "mix machine and code", file=sys.stderr)
     common = sorted(set(current) & set(baseline))
     if not common:
         sys.exit("bench_diff: no device scales in common")

@@ -310,13 +310,15 @@ ContinuousBatcher::nextBatch()
     // Decode first: one token per running sequence past prefill, in
     // admission order, so generation latency never queues behind
     // prompt processing.
-    for (const Request &r : running_) {
+    for (std::size_t i = 0; i < running_.size(); ++i) {
+        const Request &r = running_[i];
         if (budget < 1)
             break;
         if (r.phase() != RequestPhase::Decode)
             continue;
         BatchEntry e;
         e.requestId = r.id;
+        e.slot = static_cast<int>(i);
         e.decodeTokens = 1;
         plan.entries.push_back(e);
         budget -= 1;
@@ -324,7 +326,8 @@ ContinuousBatcher::nextBatch()
 
     // Continue chunked prefills of already-running requests (after a
     // preemption the target also covers recomputing generated tokens).
-    for (const Request &r : running_) {
+    for (std::size_t i = 0; i < running_.size(); ++i) {
+        const Request &r = running_[i];
         if (budget < 1)
             break;
         const TokenCount remaining = r.prefillTarget() - r.prefillDone;
@@ -332,6 +335,7 @@ ContinuousBatcher::nextBatch()
             continue;
         BatchEntry e;
         e.requestId = r.id;
+        e.slot = static_cast<int>(i);
         e.prefillTokens =
             std::min({remaining, config_.prefillChunk, budget});
         plan.entries.push_back(e);
@@ -373,6 +377,7 @@ ContinuousBatcher::nextBatch()
             }
             BatchEntry e;
             e.requestId = r.id;
+            e.slot = static_cast<int>(running_.size());
             const TokenCount remaining =
                 r.prefillTarget() - r.prefillDone;
             if (remaining > 0) {
@@ -398,14 +403,7 @@ void
 ContinuousBatcher::applyStep(const BatchPlan &plan, Seconds finish_time)
 {
     for (const BatchEntry &e : plan.entries) {
-        auto it = std::find_if(running_.begin(), running_.end(),
-                               [&](const Request &r) {
-                                   return r.id == e.requestId;
-                               });
-        LAER_CHECK(it != running_.end(),
-                   "batch entry references unknown request "
-                       << e.requestId);
-        Request &r = *it;
+        Request &r = running_[slotOf(e)];
         if (e.prefillTokens > 0) {
             LAER_ASSERT(e.decodeTokens == 0,
                         "a step schedules prefill or decode, not both");
@@ -432,17 +430,36 @@ ContinuousBatcher::applyStep(const BatchPlan &plan, Seconds finish_time)
             r.finishTime = finish_time;
     }
 
-    // Retire finished requests while preserving admission order.
-    for (auto it = running_.begin(); it != running_.end();) {
-        if (it->phase() == RequestPhase::Finished) {
+    // Retire finished requests in one compaction pass; finished_ and
+    // the survivors both keep admission order.
+    std::size_t kept = 0;
+    for (Request &r : running_) {
+        if (r.phase() == RequestPhase::Finished) {
             if (kv_)
-                kv_->release(it->id);
-            finished_.push_back(*it);
-            it = running_.erase(it);
+                kv_->release(r.id);
+            finished_.push_back(r);
         } else {
-            ++it;
+            running_[kept++] = r;
         }
     }
+    running_.resize(kept);
+}
+
+std::size_t
+ContinuousBatcher::slotOf(const BatchEntry &entry) const
+{
+    const auto slot = static_cast<std::size_t>(entry.slot);
+    LAER_CHECK(entry.slot >= 0 && slot < running_.size() &&
+                   running_[slot].id == entry.requestId,
+               "batch entry references unknown request "
+                   << entry.requestId);
+    return slot;
+}
+
+const Request &
+ContinuousBatcher::planned(const BatchEntry &entry) const
+{
+    return running_[slotOf(entry)];
 }
 
 std::vector<Request>

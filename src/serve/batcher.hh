@@ -50,6 +50,7 @@
 #ifndef LAER_SERVE_BATCHER_HH
 #define LAER_SERVE_BATCHER_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -101,6 +102,9 @@ struct BatcherConfig
 struct BatchEntry
 {
     int requestId = 0;
+    /** Index of the request in the batcher's running set when the step
+     * was planned; planned() resolves it without a search. */
+    int slot = 0;
     TokenCount prefillTokens = 0; //!< prompt tokens processed this step
     TokenCount decodeTokens = 0;  //!< output tokens produced (0 or 1)
 };
@@ -183,7 +187,9 @@ class ContinuousBatcher
     /**
      * Commit a planned step that finished at `finish_time`: advance
      * prefill/decode progress, stamp first-token and finish times, and
-     * retire completed requests (releasing their KV reservation).
+     * retire completed requests (releasing their KV reservation) in one
+     * order-preserving pass. Survivors keep their admission order, so
+     * the slots of the next plan are assigned afresh.
      * @param plan         The plan returned by the last nextBatch().
      * @param finish_time  Simulated time the step completed.
      */
@@ -270,7 +276,17 @@ class ContinuousBatcher
     /** Drain KV bytes swapped IN from host since the last call. */
     Bytes takeSwapInBytes();
 
-    /** Look a live (waiting or running) request up by id. */
+    /**
+     * The running request a plan entry of the current (not yet
+     * committed) plan refers to, in O(1) through its slot.
+     * @throws FatalError when the slot no longer holds that request,
+     *         e.g. for a stale plan committed a second time.
+     */
+    const Request &planned(const BatchEntry &entry) const;
+
+    /** Look a live (waiting or running) request up by id. O(live
+     * requests): meant for cold paths and tests; per-step code
+     * resolves plan entries through planned(). */
     const Request *find(int id) const;
 
     /** True while any request is waiting or running. */
@@ -341,10 +357,13 @@ class ContinuousBatcher
      * class. */
     void preempt(int index);
 
+    /** running_ index of `entry`, checked to still hold its request. */
+    std::size_t slotOf(const BatchEntry &entry) const;
+
     BatcherConfig config_;
     std::optional<KvCachePool> kv_;
     std::vector<std::deque<Request>> waiting_; //!< FIFO per SLO class
-    std::deque<Request> running_;              //!< admission order
+    std::vector<Request> running_;             //!< admission order
     std::vector<Request> finished_;
     std::vector<PreemptionRecord> preemptedLog_; //!< since last drain
     std::int64_t totalPreemptions_ = 0;

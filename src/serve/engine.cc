@@ -393,21 +393,20 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
     Flops attn_flops = 0.0;
     TokenCount sampled = 0;
     for (const BatchEntry &e : plan.entries) {
-        const Request *r = batcher_.find(e.requestId);
-        LAER_ASSERT(r != nullptr, "planned request vanished");
+        const Request &r = batcher_.planned(e);
         if (e.prefillTokens > 0) {
             attn_flops += static_cast<double>(e.prefillTokens) *
                           model.attnFlopsPerToken(
-                              static_cast<int>(r->prefillTarget()));
+                              static_cast<int>(r.prefillTarget()));
             // Completing the (re)prefill emits a token only when the
             // first token has not been produced yet; a KV recompute
             // after preemption replays tokens already delivered.
-            if (r->prefillDone + e.prefillTokens >= r->prefillTarget() &&
-                r->firstTokenTime < 0.0)
+            if (r.prefillDone + e.prefillTokens >= r.prefillTarget() &&
+                r.firstTokenTime < 0.0)
                 ++sampled;
         } else {
             attn_flops += model.attnFlopsPerToken(
-                static_cast<int>(r->contextLength()));
+                static_cast<int>(r.contextLength()));
             ++sampled;
         }
     }

@@ -985,13 +985,20 @@ ServingSimulator::recordCompletion(const Request &done)
 {
     metrics_.record(done);
     if (config_.metricsRegistry != nullptr) {
-        config_.metricsRegistry->histogram("serve.ttft_s")
-            .observe(done.ttft());
+        cachedHistogram(ttftHist_, "serve.ttft_s").observe(done.ttft());
         if (done.decodeTokens >= 2)
-            config_.metricsRegistry->histogram("serve.tpot_s")
+            cachedHistogram(tpotHist_, "serve.tpot_s")
                 .observe(done.tpot());
     }
     retireSampledRequest(done);
+}
+
+Histogram &
+ServingSimulator::cachedHistogram(Histogram *&cache, const char *name)
+{
+    if (cache == nullptr)
+        cache = &config_.metricsRegistry->histogram(name);
+    return *cache;
 }
 
 void
@@ -1010,9 +1017,7 @@ ServingSimulator::captureStepShares(const ServingEngine &engine,
         // Pre-commit state: prefill progress, the restoring flag and
         // an unset first-token time still describe the step being
         // priced, not its outcome.
-        const Request *r = engine.batcher().find(entry.requestId);
-        if (r == nullptr)
-            continue;
+        const Request &r = engine.batcher().planned(entry);
         ReqStepShare share;
         share.requestId = entry.requestId;
         share.pool = pool_index;
@@ -1021,14 +1026,14 @@ ServingSimulator::captureStepShares(const ServingEngine &engine,
         share.retunePause = result.migration;
         share.swapOverhead = result.swapTime;
         if (entry.prefillTokens > 0)
-            share.computeAs = r->restoring
+            share.computeAs = r.restoring
                                   ? AttrComponent::PreemptRecovery
                                   : AttrComponent::PrefillCompute;
         else
             share.computeAs = AttrComponent::DecodeResidency;
         share.firstToken =
-            entry.prefillTokens > 0 && r->firstTokenTime < 0.0 &&
-            r->prefillDone + entry.prefillTokens >= r->prefillTarget();
+            entry.prefillTokens > 0 && r.firstTokenTime < 0.0 &&
+            r.prefillDone + entry.prefillTokens >= r.prefillTarget();
         out.push_back(share);
     }
 }
@@ -1721,7 +1726,7 @@ ServingSimulator::publishStep(std::size_t i, const StepRecord &rec,
                              TraceArg{"retuned", res.retuned}});
     }
     if (config_.metricsRegistry != nullptr)
-        config_.metricsRegistry->histogram("serve.step_time_s")
+        cachedHistogram(stepTimeHist_, "serve.step_time_s")
             .observe(res.duration);
     if (res.retuned && retune_spans)
         emitRetuneSpans(i);

@@ -554,6 +554,12 @@ class ServingSimulator
     /** Record one completed request: latency collector + histograms. */
     void recordCompletion(const Request &done);
 
+    /** Registry histogram `name`, resolved into `cache` on first use so
+     * per-completion and per-step emission skips the name lookup. The
+     * registry's deques keep the reference valid, and resolving at
+     * first use keeps its creation order. */
+    Histogram &cachedHistogram(Histogram *&cache, const char *name);
+
     /** Run every free engine with schedulable work at now_.
      * @return true when at least one engine executed a step. */
     bool runDueEngines();
@@ -838,6 +844,9 @@ class ServingSimulator
     std::vector<std::size_t> retuneSeen_; //!< retune spans emitted
     std::vector<Seconds> drainStart_;     //!< beginDrain time, or < 0
     Seconds nextSnapshot_ = 0.0;          //!< next periodic boundary
+    Histogram *ttftHist_ = nullptr;       //!< serve.ttft_s, cached
+    Histogram *tpotHist_ = nullptr;       //!< serve.tpot_s, cached
+    Histogram *stepTimeHist_ = nullptr;   //!< serve.step_time_s, cached
     std::int64_t admissionsBase_ = 0;     //!< from rebuilt engines
     int retiredRetunes_ = 0;              //!< retunes, rebuilt engines
     std::vector<RetuneWallSample> retiredRetuneWall_; //!< wall samples

@@ -13,6 +13,7 @@
 
 #include "core/cli.hh"
 #include "core/error.hh"
+#include "core/host_info.hh"
 #include "core/rng.hh"
 #include "core/stats.hh"
 #include "core/table.hh"
@@ -298,6 +299,27 @@ TEST(Cli, GetUintParsesAndRejectsGarbage)
     EXPECT_THROW(args.getUint("bad", 0), FatalError);
     EXPECT_THROW(args.getUint("junk", 0), FatalError);
     EXPECT_THROW(args.getUint("huge", 0), FatalError);
+}
+
+TEST(HostInfo, ProbeFillsEveryField)
+{
+    const HostInfo host = probeHost();
+    EXPECT_GE(host.nproc, 1);
+    EXPECT_FALSE(host.cpu.empty());
+    EXPECT_FALSE(host.compiler.empty());
+    EXPECT_FALSE(host.buildType.empty());
+}
+
+TEST(HostInfo, JsonEscapesQuotesAndDropsControlChars)
+{
+    HostInfo host;
+    host.nproc = 4;
+    host.cpu = "Brand \"X\" \\ 3.0GHz\n";
+    host.compiler = "gcc 12.2.0";
+    host.buildType = "Release";
+    EXPECT_EQ(hostJson(host),
+              "{\"nproc\": 4, \"cpu\": \"Brand \\\"X\\\" \\\\ 3.0GHz\", "
+              "\"compiler\": \"gcc 12.2.0\", \"build_type\": \"Release\"}");
 }
 
 } // namespace

@@ -236,6 +236,80 @@ TEST(Batcher, LifeCycleStampsFirstTokenAndFinish)
     EXPECT_DOUBLE_EQ(r.tpot(), 1.0); // (4 - 2) / (3 - 1)
 }
 
+TEST(Batcher, PlanEntriesCarryTheirRunningSlot)
+{
+    BatcherConfig cfg;
+    cfg.tokenBudget = 32;
+    cfg.prefillChunk = 8;
+    ContinuousBatcher batcher(cfg);
+    batcher.enqueue(makeRequest(0, 0.0, 32, 4)); // long prompt
+    batcher.enqueue(makeRequest(1, 0.0, 8, 4));  // decodes after step 1
+    batcher.applyStep(batcher.nextBatch(), 1.0);
+    batcher.enqueue(makeRequest(2, 1.0, 4, 2));
+
+    // Decode of 1, prefill continuation of 0, admission of 2: the plan
+    // order differs from the running order.
+    const BatchPlan plan = batcher.nextBatch();
+    ASSERT_EQ(plan.entries.size(), 3u);
+    EXPECT_EQ(plan.entries[0].requestId, 1);
+    EXPECT_EQ(plan.entries[0].decodeTokens, 1);
+    EXPECT_EQ(plan.entries[0].slot, 1);
+    EXPECT_EQ(plan.entries[1].requestId, 0);
+    EXPECT_EQ(plan.entries[1].prefillTokens, 8);
+    EXPECT_EQ(plan.entries[1].slot, 0);
+    EXPECT_EQ(plan.entries[2].requestId, 2);
+    EXPECT_EQ(plan.entries[2].prefillTokens, 4);
+    EXPECT_EQ(plan.entries[2].slot, 2);
+    for (const BatchEntry &e : plan.entries)
+        EXPECT_EQ(batcher.planned(e).id, e.requestId);
+}
+
+TEST(Batcher, StalePlanIsRejected)
+{
+    BatcherConfig cfg;
+    cfg.tokenBudget = 64;
+    ContinuousBatcher batcher(cfg);
+    batcher.enqueue(makeRequest(0, 0.0, 4, 1)); // finishes this step
+    batcher.enqueue(makeRequest(1, 0.0, 4, 3));
+    const BatchPlan plan = batcher.nextBatch();
+    batcher.applyStep(plan, 1.0);
+    ASSERT_EQ(batcher.takeFinished().size(), 1u);
+
+    // Request 1 moved into slot 0; the stale entry for 0 must not
+    // resolve to it.
+    EXPECT_THROW(batcher.planned(plan.entries[0]), FatalError);
+    EXPECT_THROW(batcher.applyStep(plan, 2.0), FatalError);
+}
+
+TEST(Batcher, RetirementKeepsAdmissionOrder)
+{
+    BatcherConfig cfg;
+    cfg.tokenBudget = 64;
+    ContinuousBatcher batcher(cfg);
+    // Ids out of numeric order; 3 and 1 finish in the same step.
+    const int ids[] = {7, 3, 9, 1, 5};
+    const TokenCount decode[] = {5, 2, 5, 2, 5};
+    for (int i = 0; i < 5; ++i)
+        batcher.enqueue(makeRequest(ids[i], 0.0, 4, decode[i]));
+    batcher.applyStep(batcher.nextBatch(), 1.0); // prefill, token 1
+    EXPECT_TRUE(batcher.takeFinished().empty());
+    batcher.applyStep(batcher.nextBatch(), 2.0); // token 2
+
+    const std::vector<Request> done = batcher.takeFinished();
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_EQ(done[0].id, 3);
+    EXPECT_EQ(done[1].id, 1);
+
+    const BatchPlan next = batcher.nextBatch();
+    ASSERT_EQ(next.entries.size(), 3u);
+    const int survivors[] = {7, 9, 5};
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(next.entries[i].requestId, survivors[i]);
+        EXPECT_EQ(next.entries[i].slot, i);
+        EXPECT_EQ(batcher.planned(next.entries[i]).id, survivors[i]);
+    }
+}
+
 // ---- metrics ---------------------------------------------------------------
 
 Request
