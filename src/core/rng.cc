@@ -1,5 +1,6 @@
 #include "core/rng.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/error.hh"
@@ -71,15 +72,21 @@ Rng::uniformInt(int lo, int hi)
 }
 
 double
-Rng::gaussian()
+Rng::gaussianRadius()
 {
-    // Box-Muller; discards the second variate for simplicity.
     double u1 = uniform();
     while (u1 <= 1e-300)
         u1 = uniform();
+    return std::sqrt(-2.0 * std::log(u1));
+}
+
+double
+Rng::gaussian()
+{
+    // Box-Muller; discards the second variate for simplicity.
+    const double r = gaussianRadius();
     const double u2 = uniform();
-    return std::sqrt(-2.0 * std::log(u1)) *
-           std::cos(2.0 * kPi * u2);
+    return r * std::cos(2.0 * kPi * u2);
 }
 
 double
@@ -88,29 +95,94 @@ Rng::gaussian(double mean, double stddev)
     return mean + stddev * gaussian();
 }
 
+Rng::GammaShape::GammaShape(double shape)
+{
+    LAER_ASSERT(shape > 0.0, "gamma shape must be positive");
+    boosted = shape < 1.0;
+    invShape = 1.0 / shape;
+    d = (boosted ? shape + 1.0 : shape) - 1.0 / 3.0;
+    c = 1.0 / std::sqrt(9.0 * d);
+}
+
+namespace
+{
+
+// Marsaglia-Tsang acceptance of the candidate x (v = (1 + c x)^3 > 0)
+// against the uniform u: the cheap squeeze first, then the exact test.
+bool
+gammaAccepts(const Rng::GammaShape &g, double x, double v, double u)
+{
+    return u < 1.0 - 0.0331 * x * x * x * x ||
+           std::log(u) < 0.5 * x * x + g.d * (1.0 - v + std::log(v));
+}
+
+} // namespace
+
 double
 Rng::gamma(double shape)
 {
-    LAER_ASSERT(shape > 0.0, "gamma shape must be positive");
-    if (shape < 1.0) {
+    return gamma(GammaShape(shape));
+}
+
+double
+Rng::gamma(const GammaShape &g)
+{
+    if (g.boosted) {
         // Boost to shape + 1 and scale back (Marsaglia-Tsang trick).
         const double u = uniform();
-        return gamma(shape + 1.0) * std::pow(u, 1.0 / shape);
+        return gammaSqueeze(g) * std::pow(u, g.invShape);
     }
+    return gammaSqueeze(g);
+}
+
+double
+Rng::gammaSqueeze(const GammaShape &g)
+{
     // Marsaglia-Tsang squeeze method.
-    const double d = shape - 1.0 / 3.0;
-    const double c = 1.0 / std::sqrt(9.0 * d);
     for (;;) {
-        double x = gaussian();
-        double v = 1.0 + c * x;
+        const double x = gaussian();
+        double v = 1.0 + g.c * x;
         if (v <= 0.0)
             continue;
         v = v * v * v;
         const double u = uniform();
-        if (u < 1.0 - 0.0331 * x * x * x * x)
-            return d * v;
-        if (std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v)))
-            return d * v;
+        if (gammaAccepts(g, x, v, u))
+            return g.d * v;
+    }
+}
+
+void
+Rng::skipGamma(const GammaShape &g)
+{
+    if (g.boosted)
+        uniform(); // the boost's scale draw; its pow is not needed
+    for (;;) {
+        // gaussian() draws the radius s, then u2, and returns
+        // x = s * cos(2 pi u2) with |x| <= s after rounding.
+        const double s = gaussianRadius();
+        const double u2 = uniform();
+        if (g.c * s < 1.0) {
+            // Then 1 + c x > 0 for every x with |x| <= s: gamma()
+            // draws u, and its squeeze accepts whenever the squeeze
+            // at s does.
+            const double u = uniform();
+            if (u < 1.0 - 0.0331 * s * s * s * s)
+                return;
+            const double x = s * std::cos(2.0 * kPi * u2);
+            double v = 1.0 + g.c * x;
+            v = v * v * v;
+            if (gammaAccepts(g, x, v, u))
+                return;
+            continue;
+        }
+        const double x = s * std::cos(2.0 * kPi * u2);
+        double v = 1.0 + g.c * x;
+        if (v <= 0.0)
+            continue;
+        v = v * v * v;
+        const double u = uniform();
+        if (gammaAccepts(g, x, v, u))
+            return;
     }
 }
 
@@ -123,16 +195,28 @@ Rng::dirichlet(int n, double alpha)
 std::vector<double>
 Rng::dirichlet(const std::vector<double> &alphas)
 {
-    std::vector<double> out(alphas.size());
+    std::vector<GammaShape> shapes;
+    shapes.reserve(alphas.size());
+    for (double a : alphas)
+        shapes.emplace_back(a);
+    std::vector<double> out;
+    dirichlet(shapes, out);
+    return out;
+}
+
+void
+Rng::dirichlet(const std::vector<GammaShape> &shapes,
+               std::vector<double> &out)
+{
+    out.resize(shapes.size());
     double sum = 0.0;
-    for (std::size_t i = 0; i < alphas.size(); ++i) {
-        out[i] = gamma(alphas[i]);
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+        out[i] = gamma(shapes[i]);
         sum += out[i];
     }
     LAER_ASSERT(sum > 0.0, "degenerate Dirichlet draw");
     for (auto &v : out)
         v /= sum;
-    return out;
 }
 
 int
@@ -154,6 +238,15 @@ Rng::zipf(int n, double s)
 std::vector<std::int64_t>
 Rng::multinomial(std::int64_t total, const std::vector<double> &probs)
 {
+    std::vector<std::int64_t> counts(probs.size(), 0);
+    multinomial(total, probs, counts.data());
+    return counts;
+}
+
+void
+Rng::multinomial(std::int64_t total, const std::vector<double> &probs,
+                 std::int64_t *counts)
+{
     // Sequential conditional-binomial sampling would need a binomial
     // sampler; for the token counts we care about (1e3..1e6 trials over
     // <= 64 buckets) a normal approximation with exact-count repair is
@@ -167,9 +260,9 @@ Rng::multinomial(std::int64_t total, const std::vector<double> &probs)
     }
     LAER_ASSERT(psum > 0.0, "multinomial probabilities sum to zero");
 
-    std::vector<std::int64_t> counts(n, 0);
+    std::fill(counts, counts + n, 0);
     if (total <= 0)
-        return counts;
+        return;
 
     std::int64_t assigned = 0;
     for (int i = 0; i < n; ++i) {
@@ -201,7 +294,6 @@ Rng::multinomial(std::int64_t total, const std::vector<double> &probs)
             }
         }
     }
-    return counts;
 }
 
 std::vector<int>

@@ -44,8 +44,38 @@ class Rng
     /** Normal with given mean and standard deviation. */
     double gaussian(double mean, double stddev);
 
+    /**
+     * Marsaglia-Tsang constants of one Gamma(shape, 1) sampler,
+     * computed once and reused for every draw of that shape. A shape
+     * below 1 is boosted: the sampler draws Gamma(shape + 1) and
+     * scales it by u^(1/shape), so `d` and `c` belong to shape + 1.
+     */
+    struct GammaShape
+    {
+        /** Precompute the constants; shape must be positive. */
+        explicit GammaShape(double shape);
+
+        bool boosted;    //!< shape < 1
+        double invShape; //!< 1 / shape (used when boosted)
+        double d;        //!< shape - 1/3 of the (boosted) shape
+        double c;        //!< 1 / sqrt(9 d)
+    };
+
     /** Sample from Gamma(shape, 1) — used to build Dirichlet draws. */
     double gamma(double shape);
+
+    /** Sample from Gamma with precomputed constants. */
+    double gamma(const GammaShape &g);
+
+    /**
+     * Advance the stream exactly as gamma(g) would, without producing
+     * the variate. Most candidates are settled from the Box-Muller
+     * radius alone, before any cos/log of the acceptance tests (the
+     * bound is proven in docs/PERF.md); the boost's pow is never
+     * evaluated. The discarded variate of a non-boosted shape would
+     * have been strictly positive.
+     */
+    void skipGamma(const GammaShape &g);
 
     /**
      * Dirichlet draw: probability vector of size n with concentration
@@ -55,6 +85,10 @@ class Rng
 
     /** Dirichlet draw with per-component concentrations. */
     std::vector<double> dirichlet(const std::vector<double> &alphas);
+
+    /** Dirichlet draw into `out` (resized to shapes.size()). */
+    void dirichlet(const std::vector<GammaShape> &shapes,
+                   std::vector<double> &out);
 
     /**
      * Zipf-distributed integer in [0, n): P(k) proportional to
@@ -70,10 +104,20 @@ class Rng
     std::vector<std::int64_t>
     multinomial(std::int64_t total, const std::vector<double> &probs);
 
+    /** Multinomial draw into counts[0, probs.size()). */
+    void multinomial(std::int64_t total, const std::vector<double> &probs,
+                     std::int64_t *counts);
+
     /** Fisher-Yates shuffle of an index vector [0, n). */
     std::vector<int> permutation(int n);
 
   private:
+    /** Box-Muller radius sqrt(-2 ln u1) of the next normal draw. */
+    double gaussianRadius();
+
+    /** Marsaglia-Tsang sampler of the (boosted) shape d + 1/3. */
+    double gammaSqueeze(const GammaShape &g);
+
     std::uint64_t s_[4];
 };
 

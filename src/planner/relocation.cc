@@ -1,11 +1,31 @@
+/**
+ * @file
+ * Expert relocation (paper Alg. 1) with one tournament tree per call.
+ *
+ * Alg. 1 places each replica on the least-loaded free device among
+ * the nodes holding the fewest replicas of its expert, and avoids a
+ * device that already hosts the expert whenever another free device
+ * exists. Nodes are contiguous device ranges (node(d) = d /
+ * devicesPerNode), so that choice is one lexicographic minimum over
+ * devices of the key
+ *
+ *     (replicas of the expert on node(d), load[d], d),
+ *
+ * taken among free devices that do not host the expert, or among all
+ * free devices when every free device hosts it. A segment tree over
+ * devices keeps both minima at every internal node; a full device has
+ * no key. The tree is rebuilt when the item's expert changes (once per
+ * expert: an expert's items are adjacent in the sorted list) and,
+ * after a placement, only the placed node's leaves and their ancestors
+ * are recomputed, since only that node's keys moved: a replica costs
+ * O(devicesPerNode + log N). docs/PERF.md proves the pick equal to
+ * Alg. 1's per-node-heap formulation, which tests/test_relocation.cc
+ * keeps as its oracle.
+ */
+
 #include "planner/relocation.hh"
 
 #include <algorithm>
-#include <functional>
-#include <limits>
-#include <queue>
-#include <tuple>
-#include <utility>
 
 #include "core/error.hh"
 
@@ -49,99 +69,79 @@ expertRelocation(const Cluster &cluster, const std::vector<int> &expert_rep,
                          return a.load > b.load;
                      });
 
+    const int dpn = cluster.devicesPerNode();
     ExpertLayout layout(n, e);
-    std::vector<int> expert_count(n, 0);   // slots used per device
+    std::vector<int> expert_count(n, 0); // slots used per device
     std::vector<double> device_loads(n, 0.0);
-    std::vector<std::vector<int>> node_cnt(
-        e, std::vector<int>(cluster.numNodes(), 0));
-    std::vector<int> node_free(cluster.numNodes(),
-                               cluster.devicesPerNode() * capacity);
+    std::vector<int> node_cnt(static_cast<std::size_t>(e) *
+                                  cluster.numNodes(),
+                              0); // [expert][node] replicas
 
-    // Per-node lazy min-heaps over (load, device). Entries go stale
-    // when a device's load changes; stale or full entries are
-    // discarded on pop. This keeps the placement loop at
-    // O(N*C * (#nodes + log N)) instead of the naive O(N^2 * C) scan,
-    // which is what lets the solver stay inside the per-layer budget
-    // at 1024 devices (Fig. 11).
-    using HeapEntry = std::pair<double, DeviceId>;
-    std::vector<std::priority_queue<HeapEntry,
-                                    std::vector<HeapEntry>,
-                                    std::greater<HeapEntry>>>
-        heaps(cluster.numNodes());
-    for (DeviceId d = 0; d < n; ++d)
-        heaps[cluster.node(d)].emplace(0.0, d);
+    // Tournament tree: leaves [size, 2 size) are devices, padding
+    // included; -1 is "no device". `all` holds the min-key free
+    // device of a range, `fresh` the min-key free device not hosting
+    // the current expert.
+    int size = 1;
+    while (size < n)
+        size *= 2;
+    std::vector<DeviceId> all(2 * static_cast<std::size_t>(size), -1);
+    std::vector<DeviceId> fresh(all.size(), -1);
+    ExpertId expert = -1;
+    const int *cnt = nullptr; // the current expert's node_cnt row
 
-    // Drop stale/full entries and return the node's best device, or
-    // -1 when the node has no free slot.
-    auto clean_top = [&](NodeId nd) -> DeviceId {
-        auto &heap = heaps[nd];
-        while (!heap.empty()) {
-            const auto [load, d] = heap.top();
-            if (expert_count[d] >= capacity) {
-                heap.pop();
-                continue;
-            }
-            if (load != device_loads[d]) {
-                heap.pop();
-                heap.emplace(device_loads[d], d);
-                continue;
-            }
-            return d;
-        }
-        return -1;
+    // Winner of a left and a right range. Devices in the left range
+    // have lower ids, so a (count, load) tie keeps the left winner.
+    auto winner = [&](DeviceId l, DeviceId r) {
+        if (l < 0 || r < 0)
+            return l < 0 ? r : l;
+        const int cl = cnt[l / dpn];
+        const int cr = cnt[r / dpn];
+        if (cl != cr)
+            return cr < cl ? r : l;
+        return device_loads[r] < device_loads[l] ? r : l;
+    };
+    auto set_leaf = [&](DeviceId d) {
+        const bool free = expert_count[d] < capacity;
+        all[size + d] = free ? d : -1;
+        fresh[size + d] = free && layout.at(d, expert) == 0 ? d : -1;
+    };
+    auto pull = [&](int i) {
+        all[i] = winner(all[2 * i], all[2 * i + 1]);
+        fresh[i] = winner(fresh[2 * i], fresh[2 * i + 1]);
     };
 
     for (const Item &item : list) {
-        // Alg. 1 lines 7-9: among nodes with free slots, those with
-        // the fewest replicas of this expert.
-        int min_cnt = std::numeric_limits<int>::max();
-        for (NodeId nd = 0; nd < cluster.numNodes(); ++nd)
-            if (node_free[nd] > 0)
-                min_cnt = std::min(min_cnt, node_cnt[item.expert][nd]);
-        LAER_ASSERT(min_cnt != std::numeric_limits<int>::max(),
-                    "no device has a free expert slot");
-
-        // Alg. 1 line 10: least-loaded free device within those nodes.
-        DeviceId best = -1;
-        for (NodeId nd = 0; nd < cluster.numNodes(); ++nd) {
-            if (node_free[nd] == 0 ||
-                node_cnt[item.expert][nd] != min_cnt)
-                continue;
-            const DeviceId d = clean_top(nd);
-            if (d >= 0 && (best < 0 ||
-                           device_loads[d] < device_loads[best]))
-                best = d;
+        if (item.expert != expert) {
+            expert = item.expert;
+            cnt = &node_cnt[static_cast<std::size_t>(expert) *
+                            cluster.numNodes()];
+            for (DeviceId d = 0; d < n; ++d)
+                set_leaf(d);
+            for (int i = size - 1; i >= 1; --i)
+                pull(i);
         }
-        LAER_ASSERT(best >= 0, "relocation found no placement");
 
-        // A duplicate replica on one device adds no balancing power;
-        // if the heap pick already hosts this expert, fall back to a
-        // scan for the cheapest non-duplicate placement (rare).
-        if (layout.at(best, item.expert) > 0) {
-            DeviceId alt = -1;
-            auto key = [&](DeviceId d) {
-                return std::make_pair(
-                    node_cnt[item.expert][cluster.node(d)],
-                    device_loads[d]);
-            };
-            for (DeviceId d = 0; d < n; ++d) {
-                if (expert_count[d] >= capacity ||
-                    layout.at(d, item.expert) > 0)
-                    continue;
-                if (alt < 0 || key(d) < key(alt))
-                    alt = d;
-            }
-            if (alt >= 0)
-                best = alt;
-        }
+        // Alg. 1 lines 7-10, plus the duplicate avoidance: a second
+        // replica on one device adds no balancing power.
+        LAER_ASSERT(all[1] >= 0, "no device has a free expert slot");
+        const DeviceId best = fresh[1] >= 0 ? fresh[1] : all[1];
 
         // Alg. 1 lines 11-13: commit the placement.
-        ++layout.at(best, item.expert);
+        const NodeId nd = cluster.node(best);
+        ++layout.at(best, expert);
         device_loads[best] += item.load;
         ++expert_count[best];
-        ++node_cnt[item.expert][cluster.node(best)];
-        --node_free[cluster.node(best)];
-        heaps[cluster.node(best)].emplace(device_loads[best], best);
+        ++node_cnt[static_cast<std::size_t>(expert) * cluster.numNodes() +
+                   nd];
+
+        // Every key on node nd changed its count; only `best` changed
+        // its leaf. Recompute the ancestors of the node's device range.
+        set_leaf(best);
+        const DeviceId first = cluster.firstDeviceOf(nd);
+        for (int lo = (size + first) / 2, hi = (size + first + dpn - 1) / 2;
+             lo >= 1; lo /= 2, hi /= 2)
+            for (int i = lo; i <= hi; ++i)
+                pull(i);
     }
     return layout;
 }

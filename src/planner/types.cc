@@ -12,20 +12,17 @@ RoutingMatrix::RoutingMatrix(int n_devices, int n_experts)
     LAER_CHECK(n_devices > 0 && n_experts > 0, "empty routing matrix");
 }
 
-TokenCount &
-RoutingMatrix::at(DeviceId i, ExpertId j)
+void
+RoutingMatrix::add(const RoutingMatrix &other)
 {
-    LAER_ASSERT(i >= 0 && i < numDevices_ && j >= 0 && j < numExperts_,
-                "routing index out of range");
-    return data_[static_cast<std::size_t>(i) * numExperts_ + j];
-}
-
-TokenCount
-RoutingMatrix::at(DeviceId i, ExpertId j) const
-{
-    LAER_ASSERT(i >= 0 && i < numDevices_ && j >= 0 && j < numExperts_,
-                "routing index out of range");
-    return data_[static_cast<std::size_t>(i) * numExperts_ + j];
+    LAER_CHECK(other.numDevices_ == numDevices_ &&
+                   other.numExperts_ == numExperts_,
+               "routing shapes differ: " << numDevices_ << "x"
+                                         << numExperts_ << " += "
+                                         << other.numDevices_ << "x"
+                                         << other.numExperts_);
+    for (std::size_t k = 0; k < data_.size(); ++k)
+        data_[k] += other.data_[k];
 }
 
 std::vector<TokenCount>
@@ -64,21 +61,6 @@ ExpertLayout::ExpertLayout(int n_devices, int n_experts)
     LAER_CHECK(n_devices > 0 && n_experts > 0, "empty layout");
 }
 
-int &
-ExpertLayout::at(DeviceId d, ExpertId e)
-{
-    LAER_ASSERT(d >= 0 && d < numDevices_ && e >= 0 && e < numExperts_,
-                "layout index out of range");
-    return data_[static_cast<std::size_t>(d) * numExperts_ + e];
-}
-
-int
-ExpertLayout::at(DeviceId d, ExpertId e) const
-{
-    LAER_ASSERT(d >= 0 && d < numDevices_ && e >= 0 && e < numExperts_,
-                "layout index out of range");
-    return data_[static_cast<std::size_t>(d) * numExperts_ + e];
-}
 
 std::vector<DeviceId>
 ExpertLayout::replicaDevices(ExpertId e) const

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "comm/collectives.hh"
+#include "core/error.hh"
 #include "core/types.hh"
 
 namespace laer
@@ -38,10 +39,22 @@ class RoutingMatrix
     int numExperts() const { return numExperts_; }
 
     /** Mutable token count on device i for expert j. */
-    TokenCount &at(DeviceId i, ExpertId j);
+    TokenCount &at(DeviceId i, ExpertId j)
+    {
+        return data_[index(i, j)];
+    }
 
     /** Token count on device i for expert j. */
-    TokenCount at(DeviceId i, ExpertId j) const;
+    TokenCount at(DeviceId i, ExpertId j) const
+    {
+        return data_[index(i, j)];
+    }
+
+    /** Device i's row: numExperts() mutable counts. */
+    TokenCount *row(DeviceId i) { return &data_[index(i, 0)]; }
+
+    /** Add `other` cell by cell; both must have the same shape. */
+    void add(const RoutingMatrix &other);
 
     /** Column sums: total tokens destined for each expert. */
     std::vector<TokenCount> expertLoads() const;
@@ -53,6 +66,14 @@ class RoutingMatrix
     TokenCount totalTokens() const;
 
   private:
+    std::size_t index(DeviceId i, ExpertId j) const
+    {
+        LAER_ASSERT(i >= 0 && i < numDevices_ && j >= 0 &&
+                        j < numExperts_,
+                    "routing index out of range");
+        return static_cast<std::size_t>(i) * numExperts_ + j;
+    }
+
     int numDevices_ = 0;
     int numExperts_ = 0;
     std::vector<TokenCount> data_;
@@ -71,10 +92,10 @@ class ExpertLayout
     int numExperts() const { return numExperts_; }
 
     /** Mutable replica count of expert e on device d. */
-    int &at(DeviceId d, ExpertId e);
+    int &at(DeviceId d, ExpertId e) { return data_[index(d, e)]; }
 
     /** Replica count of expert e on device d. */
-    int at(DeviceId d, ExpertId e) const;
+    int at(DeviceId d, ExpertId e) const { return data_[index(d, e)]; }
 
     /** Devices hosting at least one replica of expert e. */
     std::vector<DeviceId> replicaDevices(ExpertId e) const;
@@ -100,6 +121,14 @@ class ExpertLayout
     }
 
   private:
+    std::size_t index(DeviceId d, ExpertId e) const
+    {
+        LAER_ASSERT(d >= 0 && d < numDevices_ && e >= 0 &&
+                        e < numExperts_,
+                    "layout index out of range");
+        return static_cast<std::size_t>(d) * numExperts_ + e;
+    }
+
     int numDevices_ = 0;
     int numExperts_ = 0;
     std::vector<int> data_;

@@ -220,9 +220,7 @@ ServingEngine::addExternalRouting(
                        routing[l].numExperts() ==
                            config_.model.numExperts,
                    "external routing does not match the pool geometry");
-        for (DeviceId i = 0; i < slice_.numDevices(); ++i)
-            for (ExpertId j = 0; j < config_.model.numExperts; ++j)
-                aggRouting_[l].at(i, j) += routing[l].at(i, j);
+        aggRouting_[l].add(routing[l]);
     }
 }
 
@@ -285,9 +283,7 @@ ServingEngine::updateLayouts(const std::vector<RoutingMatrix> &routing,
             ++retunes_;
         }
         for (int l = 0; l < config_.simulatedLayers; ++l)
-            for (DeviceId i = 0; i < slice_.numDevices(); ++i)
-                for (ExpertId j = 0; j < config_.model.numExperts; ++j)
-                    aggRouting_[l].at(i, j) += routing[l].at(i, j);
+            aggRouting_[l].add(routing[l]);
         return 0.0;
       }
 

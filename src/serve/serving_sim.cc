@@ -1940,11 +1940,19 @@ ServingSimulator::stepWindow()
     descoreFanoutMs_ += fanout_ms;
     descoreMergeMs_ += merge_ms;
     std::int64_t window_steps = 0;
+    double window_busy_ms = 0.0;
     for (const WindowBuffer &buf : buffers) {
         window_steps += static_cast<std::int64_t>(buf.steps.size());
-        descoreWorkerBusyMs_ += buf.wallMs;
-        descoreBarrierWaitMs_ += std::max(0.0, fanout_ms - buf.wallMs);
+        window_busy_ms += buf.wallMs;
     }
+    // Worker idle: the fan-out offers workers x fanout_ms of thread
+    // time, and the engines' window bodies use window_busy_ms of it.
+    const int workers =
+        threadPool_ != nullptr ? threadPool_->numThreads() : 1;
+    const double window_wait_ms =
+        std::max(0.0, workers * fanout_ms - window_busy_ms);
+    descoreWorkerBusyMs_ += window_busy_ms;
+    descoreBarrierWaitMs_ += window_wait_ms;
     descoreSteps_ += window_steps;
     if (config_.trace != nullptr) {
         // Spans land on the simulated timeline (the window interval);
@@ -1962,7 +1970,8 @@ ServingSimulator::stepWindow()
             "descore", now_, dur,
             {TraceArg{"steps", static_cast<int>(window_steps)},
              TraceArg{"fanout_ms", fanout_ms},
-             TraceArg{"merge_ms", merge_ms}});
+             TraceArg{"merge_ms", merge_ms},
+             TraceArg{"barrier_wait_ms", window_wait_ms}});
         for (std::size_t i = 0; i < buffers.size(); ++i) {
             if (buffers[i].steps.empty())
                 continue;
@@ -1972,10 +1981,7 @@ ServingSimulator::stepWindow()
                 "engine_window", "descore", now_, dur,
                 {TraceArg{"steps",
                           static_cast<int>(buffers[i].steps.size())},
-                 TraceArg{"busy_ms", buffers[i].wallMs},
-                 TraceArg{"barrier_wait_ms",
-                          std::max(0.0,
-                                   fanout_ms - buffers[i].wallMs)}});
+                 TraceArg{"busy_ms", buffers[i].wallMs}});
         }
     }
 

@@ -866,8 +866,8 @@ class ServingSimulator
     double descoreFanoutMs_ = 0.0;      //!< wall across the fan-out
     double descoreWorkerBusyMs_ = 0.0;  //!< sum of worker busy wall
     double descoreMergeMs_ = 0.0;       //!< wall inside the merge
-    double descoreBarrierWaitMs_ = 0.0; //!< fan-out wall minus busy,
-                                        //!< summed over engines
+    double descoreBarrierWaitMs_ = 0.0; //!< worker idle: workers x
+                                        //!< fan-out wall minus busy
 };
 
 } // namespace laer

@@ -32,13 +32,6 @@ Cluster::a100(int num_nodes, int devices_per_node)
                    300.0 * gb, nic_per_device, 0.68 * 312e12);
 }
 
-NodeId
-Cluster::node(DeviceId i) const
-{
-    LAER_ASSERT(i >= 0 && i < numDevices(), "device id out of range");
-    return i / devicesPerNode_;
-}
-
 DeviceId
 Cluster::firstDeviceOf(NodeId n) const
 {

@@ -14,6 +14,7 @@
 
 #include <string>
 
+#include "core/error.hh"
 #include "core/types.hh"
 
 namespace laer
@@ -52,7 +53,11 @@ class Cluster
     int devicesPerNode() const { return devicesPerNode_; }
 
     /** Node hosting device i (the paper's node(i)). */
-    NodeId node(DeviceId i) const;
+    NodeId node(DeviceId i) const
+    {
+        LAER_ASSERT(i >= 0 && i < numDevices(), "device id out of range");
+        return i / devicesPerNode_;
+    }
 
     /** Devices on the same node appear consecutively; first device. */
     DeviceId firstDeviceOf(NodeId n) const;

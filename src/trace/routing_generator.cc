@@ -1,5 +1,6 @@
 #include "trace/routing_generator.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/error.hh"
@@ -102,27 +103,43 @@ RoutingGenerator::nextForTokens(const std::vector<TokenCount> &tokens)
     const std::vector<double> global = popularity();
     RoutingMatrix routing(model_.numDevices, model_.numExperts);
 
-    std::vector<double> alphas(global.size());
+    // Per-device jitter: Dirichlet around the global popularity. The
+    // concentrations are the same for every device of this step, so
+    // their sampler constants are computed once.
+    const double conc = 1.0 / std::max(1e-6, model_.deviceJitter);
+    shapes_.clear();
+    bool any_plain = false;
+    for (std::size_t j = 0; j < global.size(); ++j) {
+        shapes_.emplace_back(std::max(
+            1e-3, global[j] * conc * static_cast<double>(model_.numExperts)));
+        any_plain = any_plain || !shapes_.back().boosted;
+    }
     for (DeviceId d = 0; d < model_.numDevices; ++d) {
         const TokenCount routed =
             tokens[d] * static_cast<TokenCount>(model_.topK);
-        // Sparse draw: a zero-token device routes nothing — its row is
-        // already zero and (with the opt-in flag) its jitter draw is
-        // skipped entirely. The dense path still burns the draw so the
-        // RNG stream matches historical runs.
-        if (model_.sparseDraw && routed == 0)
-            continue;
-        // Per-device jitter: Dirichlet around the global popularity.
-        const double conc = 1.0 / std::max(1e-6, model_.deviceJitter);
-        for (std::size_t j = 0; j < global.size(); ++j)
-            alphas[j] = std::max(1e-3, global[j] * conc *
-                                           static_cast<double>(
-                                               model_.numExperts));
-        const std::vector<double> local = rng_.dirichlet(alphas);
-        const std::vector<std::int64_t> counts =
-            rng_.multinomial(routed, local);
-        for (ExpertId j = 0; j < model_.numExperts; ++j)
-            routing.at(d, j) = counts[j];
+        // A zero-token device routes nothing and its row stays zero.
+        // With sparseDraw its draw is dropped from the stream. The
+        // dense path keeps the stream of the full draw (a zero-trial
+        // multinomial draws nothing) and, when it can, passes over
+        // the Dirichlet with skipGamma. That is exact only if the full
+        // draw's checks could not have fired. A non-boosted shape's
+        // variate is d * v with d >= 2/3 and v = (1 + c x)^3, where
+        // 1 + c x is a positive double, hence >= 2^-53: the variate is
+        // >= 2^-160 > 0. So the Dirichlet sum is > 0, and the
+        // multinomial's probabilities are >= 0 with a positive sum.
+        // Boosted variates may underflow to zero, so a step whose
+        // shapes are all boosted runs the full draw.
+        if (routed == 0) {
+            if (model_.sparseDraw)
+                continue;
+            if (any_plain) {
+                for (const Rng::GammaShape &g : shapes_)
+                    rng_.skipGamma(g);
+                continue;
+            }
+        }
+        rng_.dirichlet(shapes_, local_);
+        rng_.multinomial(routed, local_, routing.row(d));
     }
     return routing;
 }

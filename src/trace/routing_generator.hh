@@ -48,14 +48,16 @@ struct RoutingModel
     std::uint64_t seed = 42;
 
     /**
-     * Skip the per-device Dirichlet/multinomial draw for devices
-     * carrying zero tokens (their routing row is zero either way).
-     * Near-empty drain steps go from O(devices * experts) gamma draws
-     * to O(active devices * experts) — the serving hot path's cost on
-     * the long tail of a drain. Off by default: skipping a draw
-     * advances the shared RNG stream differently, so runs with any
-     * empty device are NOT bit-identical to the dense draw (runs with
-     * no empty device are — tests/test_trace.cc pins both contracts).
+     * Drop the per-device Dirichlet/multinomial draw of devices
+     * carrying zero tokens from the RNG stream (their routing row is
+     * zero either way). The dense path already passes over such a
+     * device cheaply: it advances the stream exactly as the full draw
+     * would (Rng::skipGamma) without computing the variates, so what
+     * this flag still saves is that remaining per-draw cost. Off by
+     * default: dropping the draw advances the shared RNG stream
+     * differently, so runs with any empty device are NOT bit-identical
+     * to the dense draw (runs with no empty device are —
+     * tests/test_trace.cc pins both contracts).
      */
     bool sparseDraw = false;
 
@@ -99,6 +101,8 @@ class RoutingGenerator
     RoutingModel model_;
     Rng rng_;
     std::vector<double> logits_;
+    std::vector<Rng::GammaShape> shapes_; //!< this step's Dirichlet shapes
+    std::vector<double> local_;           //!< one device's Dirichlet draw
 };
 
 } // namespace laer

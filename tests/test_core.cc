@@ -86,6 +86,24 @@ TEST(Rng, GammaMeanMatchesShape)
     }
 }
 
+TEST(Rng, SkipGammaLeavesTheStreamWhereGammaDoes)
+{
+    // Boosted and plain shapes, with v <= 0 rejections (small shapes)
+    // and exact-test acceptances in the mix: after every pair of calls
+    // the two streams must still agree.
+    for (double shape : {1e-3, 0.01, 0.3, 0.999, 1.0, 1.5, 6.7, 50.0,
+                         400.0}) {
+        const Rng::GammaShape g(shape);
+        Rng drawn(29), skipped(29);
+        for (int i = 0; i < 100000; ++i) {
+            drawn.gamma(g);
+            skipped.skipGamma(g);
+            ASSERT_EQ(drawn.nextU64(), skipped.nextU64())
+                << "shape=" << shape << " call " << i;
+        }
+    }
+}
+
 TEST(Rng, DirichletSumsToOne)
 {
     Rng rng(17);

@@ -5,8 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <utility>
+
 #include "core/error.hh"
+#include "core/rng.hh"
 #include "planner/relocation.hh"
+#include "planner/replica_alloc.hh"
 
 namespace laer
 {
@@ -124,6 +133,174 @@ TEST(Relocation, HeavyReplicasPlacedFirstOntoEmptyDevices)
                       rep[j];
     // The companion replica on the host must be one of the lightest.
     EXPECT_LE(other_load, 110.0);
+}
+
+// Alg. 1 as it was first implemented: per-node lazy min-heaps over
+// (load, device), an O(nodes) scan for the least-replicated admissible
+// node per replica, and an O(devices) scan when the pick already hosts
+// the expert. expertRelocation must place every replica exactly where
+// this does. `fallbacks` counts duplicate-fallback scans.
+ExpertLayout
+referenceRelocation(const Cluster &cluster, const std::vector<int> &expert_rep,
+                    const std::vector<TokenCount> &expert_loads, int capacity,
+                    int &fallbacks)
+{
+    const int n = cluster.numDevices();
+    const int e = static_cast<int>(expert_rep.size());
+    struct Item
+    {
+        ExpertId expert;
+        double load;
+    };
+    std::vector<Item> list;
+    for (ExpertId j = 0; j < e; ++j) {
+        const double avg = static_cast<double>(expert_loads[j]) /
+                           expert_rep[j];
+        for (int r = 0; r < expert_rep[j]; ++r)
+            list.push_back({j, avg});
+    }
+    std::stable_sort(list.begin(), list.end(),
+                     [](const Item &a, const Item &b) {
+                         return a.load > b.load;
+                     });
+
+    ExpertLayout layout(n, e);
+    std::vector<int> expert_count(n, 0);
+    std::vector<double> device_loads(n, 0.0);
+    std::vector<std::vector<int>> node_cnt(
+        e, std::vector<int>(cluster.numNodes(), 0));
+    std::vector<int> node_free(cluster.numNodes(),
+                               cluster.devicesPerNode() * capacity);
+    using HeapEntry = std::pair<double, DeviceId>;
+    std::vector<std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+                                    std::greater<HeapEntry>>>
+        heaps(cluster.numNodes());
+    for (DeviceId d = 0; d < n; ++d)
+        heaps[cluster.node(d)].emplace(0.0, d);
+    auto clean_top = [&](NodeId nd) -> DeviceId {
+        auto &heap = heaps[nd];
+        while (!heap.empty()) {
+            const auto [load, d] = heap.top();
+            if (expert_count[d] >= capacity) {
+                heap.pop();
+                continue;
+            }
+            if (load != device_loads[d]) {
+                heap.pop();
+                heap.emplace(device_loads[d], d);
+                continue;
+            }
+            return d;
+        }
+        return -1;
+    };
+
+    for (const Item &item : list) {
+        int min_cnt = std::numeric_limits<int>::max();
+        for (NodeId nd = 0; nd < cluster.numNodes(); ++nd)
+            if (node_free[nd] > 0)
+                min_cnt = std::min(min_cnt, node_cnt[item.expert][nd]);
+        DeviceId best = -1;
+        for (NodeId nd = 0; nd < cluster.numNodes(); ++nd) {
+            if (node_free[nd] == 0 ||
+                node_cnt[item.expert][nd] != min_cnt)
+                continue;
+            const DeviceId d = clean_top(nd);
+            if (d >= 0 && (best < 0 ||
+                           device_loads[d] < device_loads[best]))
+                best = d;
+        }
+        if (layout.at(best, item.expert) > 0) {
+            ++fallbacks;
+            DeviceId alt = -1;
+            auto key = [&](DeviceId d) {
+                return std::make_pair(
+                    node_cnt[item.expert][cluster.node(d)],
+                    device_loads[d]);
+            };
+            for (DeviceId d = 0; d < n; ++d) {
+                if (expert_count[d] >= capacity ||
+                    layout.at(d, item.expert) > 0)
+                    continue;
+                if (alt < 0 || key(d) < key(alt))
+                    alt = d;
+            }
+            if (alt >= 0)
+                best = alt;
+        }
+        ++layout.at(best, item.expert);
+        device_loads[best] += item.load;
+        ++expert_count[best];
+        ++node_cnt[item.expert][cluster.node(best)];
+        --node_free[cluster.node(best)];
+        heaps[cluster.node(best)].emplace(device_loads[best], best);
+    }
+    return layout;
+}
+
+TEST(Relocation, MatchesReferencePlacement)
+{
+    // Seeded campaign over topologies, capacities, load shapes and
+    // replica schemes: every layout must equal the reference's
+    // element for element.
+    Rng rng(20261020);
+    const int dpn_choices[] = {1, 3, 6, 8};
+    int fallbacks = 0;
+    int cases = 0;
+    for (int round = 0; round < 160; ++round) {
+        // Mostly small pools, with a few up to 256 nodes.
+        const int nodes = round % 20 == 0 ? rng.uniformInt(128, 256)
+                                          : rng.uniformInt(1, 24);
+        const int dpn = dpn_choices[rng.uniformInt(0, 3)];
+        const int capacity = rng.uniformInt(1, 4);
+        const int n = nodes * dpn;
+        const Cluster c(nodes, dpn, 100e9, 10e9, 1e12);
+        const int max_e = std::min(64, n * capacity);
+        const int experts = rng.uniformInt(std::min(capacity, max_e),
+                                           max_e);
+
+        std::vector<TokenCount> loads(experts);
+        switch (round % 4) {
+        case 0: // all tied
+            std::fill(loads.begin(), loads.end(), 1000);
+            break;
+        case 1: // a few distinct values, many ties
+            for (auto &l : loads)
+                l = 100 * rng.uniformInt(0, 3);
+            break;
+        default: // skewed
+            for (auto &l : loads)
+                l = static_cast<TokenCount>(
+                    1e5 / std::pow(1.0 + rng.uniformInt(0, experts), 1.5));
+            break;
+        }
+
+        std::vector<std::vector<int>> schemes;
+        if (capacity <= experts) {
+            schemes.push_back(replicaAllocation(loads, n, capacity));
+            schemes.push_back(perturbAllocation(schemes.back(), rng,
+                                                n * capacity));
+        }
+        schemes.push_back(evenAllocation(loads, n, capacity));
+        for (const auto &rep : schemes) {
+            int fb = 0;
+            const ExpertLayout want =
+                referenceRelocation(c, rep, loads, capacity, fb);
+            const ExpertLayout got =
+                expertRelocation(c, rep, loads, capacity);
+            fallbacks += fb;
+            ++cases;
+            for (DeviceId d = 0; d < n; ++d)
+                for (ExpertId j = 0; j < experts; ++j)
+                    ASSERT_EQ(got.at(d, j), want.at(d, j))
+                        << "round " << round << ": " << nodes << "x"
+                        << dpn << " C=" << capacity << " E=" << experts
+                        << " device " << d << " expert " << j;
+        }
+    }
+    EXPECT_GT(cases, 300);
+    // The campaign must exercise the duplicate fallback.
+    EXPECT_GT(fallbacks, 0);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 
 #include "core/error.hh"
 #include "core/stats.hh"
+#include "obs/metrics.hh"
 #include "serve/arrival.hh"
 #include "serve/batcher.hh"
 #include "serve/kv_cache.hh"
@@ -523,6 +524,35 @@ TEST(ServingSim, WindowedCoreCompletesEveryRequest)
     EXPECT_EQ(report.offered, report.completed);
     EXPECT_GT(report.steps, 0);
     EXPECT_GT(report.retunes, 0);
+}
+
+TEST(ServingSim, WindowedCoreOneWorkerBarrierWaitIsSmall)
+{
+    // profile.descore.barrier_wait_ms is worker idle time: workers x
+    // fan-out wall minus the engines' busy wall. One worker runs the
+    // engines back to back and never idles, so on a two-engine run
+    // the wait must be a small share of the fan-out (summing
+    // fan-out minus busy per engine would read about one fan-out).
+    const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg = smallServingConfig(ServingPolicy::LaerServe);
+    cfg.replicas.replicaDevices = 4; // 2 replica engines
+    cfg.desParallel = true;
+    cfg.arrival.ratePerSec = 40.0;
+    MetricsRegistry registry;
+    cfg.metricsRegistry = &registry;
+    ServingSimulator sim(cluster, cfg); // threads = 1: no pool
+    const ServingReport report = sim.run();
+    ASSERT_GT(report.completed, 0);
+    const double fanout =
+        registry.gauge("profile.descore.fanout_ms").value();
+    const double busy =
+        registry.gauge("profile.descore.worker_busy_ms").value();
+    const double wait =
+        registry.gauge("profile.descore.barrier_wait_ms").value();
+    ASSERT_GT(fanout, 0.0);
+    EXPECT_GE(wait, 0.0);
+    EXPECT_LE(busy, fanout * 1.001);
+    EXPECT_LT(wait, 0.2 * fanout);
 }
 
 TEST(ServingSim, OneEngineCoresAgree)

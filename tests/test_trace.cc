@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "core/error.hh"
@@ -193,6 +194,58 @@ TEST(RoutingGenerator, SparseDrawSkipsEmptyDevicesAndDiverges)
         }
     }
     EXPECT_TRUE(diverged);
+}
+
+// FNV-1a over every cell of `draws` dense draws of a 512-device pool
+// with 80 devices carrying tokens per draw (the rest are empty).
+std::uint64_t
+denseDrawHash(const RoutingModel &model, int draws)
+{
+    RoutingGenerator gen(model);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::vector<TokenCount> tokens(model.numDevices);
+    for (int it = 0; it < draws; ++it) {
+        for (DeviceId d = 0; d < model.numDevices; ++d)
+            tokens[d] = (d * 7 + it * 5) % 32 < 5
+                            ? 1 + (d * 13 + it * 29) % 700
+                            : 0;
+        const RoutingMatrix r = gen.nextForTokens(tokens);
+        for (DeviceId d = 0; d < model.numDevices; ++d) {
+            TokenCount row = 0;
+            for (ExpertId j = 0; j < model.numExperts; ++j) {
+                row += r.at(d, j);
+                auto v = static_cast<std::uint64_t>(r.at(d, j));
+                for (int b = 0; b < 8; ++b, v >>= 8) {
+                    h ^= v & 0xff;
+                    h *= 0x100000001b3ULL;
+                }
+            }
+            EXPECT_EQ(row, tokens[d] * model.topK);
+        }
+    }
+    return h;
+}
+
+TEST(RoutingGenerator, DenseDrawWithEmptyDevicesIsPinned)
+{
+    // The dense draw consumes the RNG stream of every empty device
+    // exactly as a full Dirichlet draw would, so later devices and
+    // later steps see the stream they always saw. These hashes were
+    // recorded with the full per-device draw; any cheaper way of
+    // passing over an empty device must reproduce them.
+    RoutingModel m;
+    m.numDevices = 512;
+    m.numExperts = 8;
+    m.topK = 2;
+    m.skew = 1.2;
+    m.drift = 0.98;
+    m.deviceJitter = 0.15; // mixes shapes above and below 1
+    m.seed = 11;
+    EXPECT_EQ(denseDrawHash(m, 20), 0xda8c3f22bd474f77ULL);
+
+    RoutingModel boosted = m;
+    boosted.deviceJitter = 10.0; // every Dirichlet shape below 1
+    EXPECT_EQ(denseDrawHash(boosted, 20), 0x75c86f35fc9f5aecULL);
 }
 
 TEST(RoutingTrace, StoreAndRetrieve)
