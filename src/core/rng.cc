@@ -158,29 +158,26 @@ Rng::skipGamma(const GammaShape &g)
         uniform(); // the boost's scale draw; its pow is not needed
     for (;;) {
         // gaussian() draws the radius s, then u2, and returns
-        // x = s * cos(2 pi u2) with |x| <= s after rounding.
+        // x = s * cos(2 pi u2) with |x| <= s after rounding. So
+        // c s < 1 proves 1 + c x > 0 (gamma() goes on to draw u), and
+        // the squeeze at s accepting proves gamma()'s squeeze accepts.
         const double s = gaussianRadius();
         const double u2 = uniform();
-        if (g.c * s < 1.0) {
-            // Then 1 + c x > 0 for every x with |x| <= s: gamma()
-            // draws u, and its squeeze accepts whenever the squeeze
-            // at s does.
-            const double u = uniform();
+        const bool bounded = g.c * s < 1.0;
+        double x = 0.0;
+        if (!bounded) {
+            x = s * std::cos(2.0 * kPi * u2);
+            if (1.0 + g.c * x <= 0.0)
+                continue;
+        }
+        const double u = uniform();
+        if (bounded) {
             if (u < 1.0 - 0.0331 * s * s * s * s)
                 return;
-            const double x = s * std::cos(2.0 * kPi * u2);
-            double v = 1.0 + g.c * x;
-            v = v * v * v;
-            if (gammaAccepts(g, x, v, u))
-                return;
-            continue;
+            x = s * std::cos(2.0 * kPi * u2);
         }
-        const double x = s * std::cos(2.0 * kPi * u2);
         double v = 1.0 + g.c * x;
-        if (v <= 0.0)
-            continue;
         v = v * v * v;
-        const double u = uniform();
         if (gammaAccepts(g, x, v, u))
             return;
     }
