@@ -10,7 +10,12 @@
 #      as a path when it has a directory part, ends in a file
 #      extension, and starts with a top-level directory or a src/
 #      subdirectory (`core/stats.hh`, `perfbench/run.py`); a
-#      `name.{hh,cc}` suffix is checked for each alternative.
+#      `name.{hh,cc}` suffix is checked for each alternative;
+#   4. every backticked `Type::member` reference in README.md and
+#      docs/*.md must resolve: some file under src/ defines `Type`
+#      (struct, class or enum), and `member` appears as a word in a
+#      file that defines it. References into `std::` or `laer::` are
+#      skipped.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -79,6 +84,30 @@ check_path() {
 for md in README.md docs/*.md; do
     [ -e "$md" ] || continue
     check_paths "$md"
+done
+
+check_members() {
+    local md="$1"
+    local ref type member defs
+    while IFS= read -r ref; do
+        type="${ref%%::*}"
+        member="${ref#*::}"
+        case "$type" in std|laer) continue ;; esac
+        defs=$(grep -rlE "(struct|class|enum class|enum)[[:space:]]+$type([[:space:]]*[:{]|[[:space:]]+final|[[:space:]]*$)" src)
+        if [ -z "$defs" ]; then
+            echo "STALE MEMBER: $md -> \`$ref\` (no type $type under src/)"
+            status=1
+        elif ! grep -qw -- "$member" $defs; then
+            echo "STALE MEMBER: $md -> \`$ref\` ($member not in $type's files)"
+            status=1
+        fi
+    done < <(grep -oE '`[A-Za-z_][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' "$md" |
+             tr -d '`' | sort -u)
+}
+
+for md in README.md docs/*.md; do
+    [ -e "$md" ] || continue
+    check_members "$md"
 done
 
 for hh in src/serve/*.hh src/ctrl/*.hh src/obs/*.hh \

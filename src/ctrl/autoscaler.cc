@@ -15,6 +15,27 @@ AutoscalerPolicy::~AutoscalerPolicy() = default;
 namespace
 {
 
+// Threshold + hysteresis bands: waiting requests per live replica and
+// KV utilization. A sustained breach of either high threshold scales
+// up; both sitting below their low threshold allows a scale-down.
+constexpr double kQueueHigh = 8.0;
+constexpr double kQueueLow = 1.0;
+constexpr double kKvHigh = 0.85;
+constexpr double kKvLow = 0.40;
+static_assert(kQueueHigh > kQueueLow && kKvHigh > kKvLow,
+              "threshold dead band is inverted");
+
+// Split mode: the pressure ratio the pools must diverge by before a
+// move is considered, and the absolute per-device pressure floor below
+// which the split holds (re-partitioning an unloaded cluster buys
+// nothing).
+constexpr double kSplitImbalance = 1.3;
+constexpr double kSplitMinPressure = 1.0;
+
+// Weight of a fully-stalled window (or a decode KV pool pinned at 1.0)
+// as decode-pool pressure, in queued-requests-per-device.
+constexpr double kStallWeight = 4.0;
+
 /** Per-device pressure of the two disaggregated pools. */
 struct SplitPressure
 {
@@ -23,8 +44,7 @@ struct SplitPressure
 };
 
 SplitPressure
-splitPressures(const TelemetryWindow &window,
-               const AutoscalerConfig &config)
+splitPressures(const TelemetryWindow &window)
 {
     LAER_CHECK(window.pools.size() == 2,
                "split pressure needs exactly a prefill and a decode "
@@ -45,22 +65,21 @@ splitPressures(const TelemetryWindow &window,
     const double stall_fraction =
         window.transferStall / (window.end - window.start);
     const double kv_over =
-        std::max(0.0, dec.kvUtilization - config.kvHigh) /
-        std::max(1e-9, 1.0 - config.kvHigh);
+        std::max(0.0, dec.kvUtilization - kKvHigh) /
+        std::max(1e-9, 1.0 - kKvHigh);
     p.decode = dec.queueDepth /
                    std::max(1.0, static_cast<double>(dec.devices)) +
-               config.stallWeight * (stall_fraction + kv_over);
+               kStallWeight * (stall_fraction + kv_over);
     return p;
 }
 
 /** True when the pools have diverged enough to justify a move. */
 bool
-splitImbalanced(const SplitPressure &p, const AutoscalerConfig &config)
+splitImbalanced(const SplitPressure &p)
 {
     const double hi = std::max(p.prefill, p.decode);
     const double lo = std::min(p.prefill, p.decode);
-    return hi >= config.splitMinPressure &&
-           hi > lo * config.splitImbalance + 1e-9;
+    return hi >= kSplitMinPressure && hi > lo * kSplitImbalance + 1e-9;
 }
 
 /** One move of at most `step` devices from `current` toward `ideal`,
@@ -132,7 +151,7 @@ idealPrefillDevices(const TelemetryWindow &window,
                    << state.minPoolDevices << "+ devices at a "
                    << step << "-device granularity");
 
-    const SplitPressure p = splitPressures(window, config);
+    const SplitPressure p = splitPressures(window);
     const PoolSignal &pre = window.pools[0];
     const PoolSignal &dec = window.pools[1];
     // Total pressures, so the Alg. 4 share is proportional to load.
@@ -149,9 +168,6 @@ ThresholdHysteresisAutoscaler::ThresholdHysteresisAutoscaler(
 {
     LAER_CHECK(config_.upWindows >= 1 && config_.downWindows >= 1,
                "hysteresis windows must be positive");
-    LAER_CHECK(config_.queueHigh > config_.queueLow &&
-                   config_.kvHigh > config_.kvLow,
-               "threshold dead band is inverted");
 }
 
 ScalingAction
@@ -170,8 +186,8 @@ ThresholdHysteresisAutoscaler::decide(const TelemetryBus &bus,
     }
 
     if (state.splitMode) {
-        const SplitPressure p = splitPressures(w, config_);
-        if (!splitImbalanced(p, config_)) {
+        const SplitPressure p = splitPressures(w);
+        if (!splitImbalanced(p)) {
             aboveWindows_ = belowWindows_ = 0;
             return action;
         }
@@ -207,9 +223,8 @@ ThresholdHysteresisAutoscaler::decide(const TelemetryBus &bus,
         static_cast<double>(w.totalQueueDepth()) /
         std::max(1, state.activeReplicas);
     const double kv = w.maxKvUtilization();
-    const bool high =
-        queue_per > config_.queueHigh || kv > config_.kvHigh;
-    const bool low = queue_per < config_.queueLow && kv < config_.kvLow;
+    const bool high = queue_per > kQueueHigh || kv > kKvHigh;
+    const bool low = queue_per < kQueueLow && kv < kKvLow;
     aboveWindows_ = high ? aboveWindows_ + 1 : 0;
     belowWindows_ = low ? belowWindows_ + 1 : 0;
 
@@ -258,8 +273,8 @@ TargetUtilizationAutoscaler::decide(const TelemetryBus &bus,
     }
 
     if (state.splitMode) {
-        const SplitPressure p = splitPressures(w, config_);
-        if (!splitImbalanced(p, config_))
+        const SplitPressure p = splitPressures(w);
+        if (!splitImbalanced(p))
             return action;
         const int ideal = idealPrefillDevices(w, state, config_);
         const int step = config_.splitStepDevices > 0
@@ -284,8 +299,7 @@ TargetUtilizationAutoscaler::decide(const TelemetryBus &bus,
     double util = 0.0;
     int live_pools = 0;
     for (const PoolSignal &pool : w.pools) {
-        if (pool.state != EngineState::Active &&
-            pool.state != EngineState::Loading)
+        if (!accepting(pool.state))
             continue;
         util += pool.kvUtilization;
         ++live_pools;
@@ -300,12 +314,12 @@ TargetUtilizationAutoscaler::decide(const TelemetryBus &bus,
     const double low_band =
         config_.targetUtilization * (1.0 - config_.deadband);
     int desired = state.activeReplicas;
-    if (util > high_band || queue_per > config_.queueHigh) {
+    if (util > high_band || queue_per > kQueueHigh) {
         desired = std::max(
             state.activeReplicas + 1,
             static_cast<int>(std::ceil(state.activeReplicas * util /
                                        config_.targetUtilization)));
-    } else if (util < low_band && queue_per < config_.queueLow &&
+    } else if (util < low_band && queue_per < kQueueLow &&
                static_cast<int>(std::ceil(
                    state.activeReplicas * util /
                    config_.targetUtilization)) < state.activeReplicas) {

@@ -57,14 +57,10 @@ struct AutoscalerConfig
     int minReplicas = 1;
     int maxReplicas = 1;
 
-    // Threshold + hysteresis: scale up when waiting requests per live
-    // replica exceed queueHigh (or KV runs hotter than kvHigh) for
-    // `upWindows` consecutive windows; scale down when the queue is
-    // below queueLow AND KV below kvLow for `downWindows` windows.
-    double queueHigh = 8.0;
-    double queueLow = 1.0;
-    double kvHigh = 0.85;
-    double kvLow = 0.40;
+    // Threshold + hysteresis: scale up when the queue or KV runs past
+    // its high threshold (ctrl/autoscaler.cc) for `upWindows`
+    // consecutive windows; scale down when both sit below their low
+    // thresholds for `downWindows` windows.
     int upWindows = 1;
     int downWindows = 3;
 
@@ -78,19 +74,10 @@ struct AutoscalerConfig
     double deadband = 0.25;
 
     // Split mode: device granularity of one boundary move (0 = one
-    // node), per-pool device floor (0 = derived from the expert-
-    // hosting constraint by the ControlLoop), the pressure ratio the
-    // pools must diverge by before a move is considered, and the
-    // absolute per-device pressure floor below which the split holds
-    // (re-partitioning an unloaded cluster buys nothing).
+    // node) and per-pool device floor (0 = derived from the expert-
+    // hosting constraint by the ControlLoop).
     int splitStepDevices = 0;
     int minPoolDevices = 0;
-    double splitImbalance = 1.3;
-    double splitMinPressure = 1.0;
-
-    // Weight of a fully-stalled window (or a decode KV pool pinned at
-    // 1.0) as decode-pool pressure, in queued-requests-per-device.
-    double stallWeight = 4.0;
 };
 
 /** Topology facts a policy needs to phrase a legal action. */

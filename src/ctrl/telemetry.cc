@@ -8,25 +8,12 @@
 namespace laer
 {
 
-namespace
-{
-
-/** True when the pool is serving or about to serve. */
-bool
-live(const PoolSignal &pool)
-{
-    return pool.state == EngineState::Active ||
-           pool.state == EngineState::Loading;
-}
-
-} // namespace
-
 int
 TelemetryWindow::totalQueueDepth() const
 {
     int depth = 0;
     for (const PoolSignal &pool : pools)
-        if (live(pool))
+        if (accepting(pool.state))
             depth += pool.queueDepth;
     return depth;
 }
@@ -36,7 +23,7 @@ TelemetryWindow::totalRunning() const
 {
     int running = 0;
     for (const PoolSignal &pool : pools)
-        if (live(pool))
+        if (accepting(pool.state))
             running += pool.running;
     return running;
 }
@@ -46,7 +33,7 @@ TelemetryWindow::maxKvUtilization() const
 {
     double util = 0.0;
     for (const PoolSignal &pool : pools)
-        if (live(pool))
+        if (accepting(pool.state))
             util = std::max(util, pool.kvUtilization);
     return util;
 }
@@ -118,7 +105,7 @@ TelemetryCollector::collect(const ServingSimulator &sim, Seconds start,
 
     w.activeReplicas = sim.activeReplicas();
     w.prefillDevices = sim.prefillDevices();
-    for (int i = 0; i < sim.replicaSlots(); ++i) {
+    for (int i = 0; i < sim.numEngines(); ++i) {
         const ServingEngine &engine = sim.engine(i);
         PoolSignal pool;
         pool.name = engine.slice().name;

@@ -56,10 +56,6 @@ struct DiffOptions
      * relTol * max(|ref|, |cand|). */
     double relTol = 0.0;
 
-    /** Divergences recorded beyond the first; the total count is
-     * always exact. */
-    std::size_t maxRecorded = 16;
-
     /** The built-in wall-clock exclusion list. */
     static std::vector<std::string> defaultIgnorePrefixes();
 };
@@ -89,8 +85,8 @@ struct DiffReport
     std::size_t snapshotsCompared = 0;
     std::size_t comparisons = 0;        //!< counter values compared
     std::size_t totalDivergences = 0;   //!< all, recorded or not
-    std::vector<Divergence> divergences; //!< first maxRecorded, in
-                                         //!< stream order
+    std::vector<Divergence> divergences; //!< first 16, in stream
+                                         //!< order
 
     /** True when every compared value agreed AND both streams had the
      * same number of snapshots. */

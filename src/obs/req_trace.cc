@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "core/error.hh"
+#include "obs/json.hh"
 #include "obs/trace.hh"
 
 namespace laer
@@ -18,6 +19,10 @@ namespace laer
 
 namespace
 {
+
+/** Events retained per live request before the timeline truncates
+ * (attribution accumulators are unaffected by truncation). */
+constexpr std::size_t kMaxTimelineEvents = 96;
 
 /** splitmix64 finaliser: a cheap, well-mixed 64-bit hash. */
 std::uint64_t
@@ -78,26 +83,12 @@ writeRecordJson(std::ostream &os, const SloRecord &r)
     os << "}";
 }
 
-std::string
-jsonEscapeLabel(const std::string &s)
-{
-    std::string out;
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 } // namespace
 
 ReqTraceRecorder::ReqTraceRecorder(ReqTraceConfig config)
     : config_(config)
 {
     LAER_CHECK(config_.topK > 0, "topK must be positive");
-    LAER_CHECK(config_.maxTimelineEvents > 0,
-               "maxTimelineEvents must be positive");
 }
 
 bool
@@ -121,8 +112,7 @@ ReqTraceRecorder::find(int id)
 void
 ReqTraceRecorder::pushEvent(LiveReq &req, const TimelineEvent &event)
 {
-    if (static_cast<int>(req.events.size()) >=
-        config_.maxTimelineEvents) {
+    if (req.events.size() >= kMaxTimelineEvents) {
         ++req.droppedEvents;
         return;
     }
@@ -488,7 +478,7 @@ ReqTraceRecorder::writeSloJson(std::ostream &os,
 {
     os << "{";
     if (!label.empty())
-        os << "\"run\":\"" << jsonEscapeLabel(label) << "\",";
+        os << "\"run\":\"" << jsonEscape(label) << "\",";
     os << "\"sample_every\":" << config_.sampleEvery
        << ",\"seed\":" << config_.seed << ",\"top_k\":" << config_.topK
        << ",\"sampled_retired\":" << sampledRetired_
@@ -500,7 +490,7 @@ ReqTraceRecorder::writeSloJson(std::ostream &os,
     for (std::size_t i = 0; i < violations_.size(); ++i) {
         if (i > 0)
             os << ",";
-        os << "\"" << jsonEscapeLabel(violations_[i]) << "\"";
+        os << "\"" << jsonEscape(violations_[i]) << "\"";
     }
     os << "],\"worst_ttft\":[";
     const std::vector<SloRecord> ttft = worstTtft();

@@ -28,8 +28,7 @@
  * per-class accumulators, and the top-K heaps hold K records each.
  * Like the rest of the observability layer the recorder is strictly
  * write-only with respect to simulation state; attaching one cannot
- * change simulated outputs, and the guard macros in obs/obs.hh
- * compile every hook out under LAER_OBS_DISABLED.
+ * change simulated outputs.
  */
 
 #ifndef LAER_OBS_REQ_TRACE_HH
@@ -65,10 +64,6 @@ struct ReqTraceConfig
 
     /** Worst-TTFT / worst-TPOT records retained for the SLO report. */
     int topK = 8;
-
-    /** Events retained per live request before the timeline truncates
-     * (attribution accumulators are unaffected by truncation). */
-    int maxTimelineEvents = 96;
 };
 
 /** One request's residency share of one engine step: the step

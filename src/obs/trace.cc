@@ -4,67 +4,12 @@
 #include <cmath>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "core/error.hh"
+#include "obs/json.hh"
 
 namespace laer
 {
-
-namespace
-{
-
-/** JSON-escape a string value (quotes, backslashes, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Encode a double as a JSON number (NaN/inf have no JSON spelling,
- * so they degrade to 0). */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        v = 0.0;
-    std::ostringstream oss;
-    oss.precision(12);
-    oss << v;
-    return oss.str();
-}
-
-} // namespace
 
 TraceArg::TraceArg(const char *k, std::int64_t value)
     : key(k), json(std::to_string(value))
@@ -145,7 +90,6 @@ TraceRecorder::span(int track_id, const std::string &name,
     e.category = category;
     e.argsJson = encodeArgs(args);
     events_.push_back(std::move(e));
-    ++spans_;
 }
 
 void
@@ -183,7 +127,6 @@ TraceRecorder::flow(int track_id, char phase, const std::string &name,
     e.name = name;
     e.category = category;
     events_.push_back(std::move(e));
-    ++flows_;
 }
 
 void

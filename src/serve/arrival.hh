@@ -51,7 +51,6 @@ struct ArrivalConfig
 
     double burstFactor = 4.0;     //!< burst rate / mean rate (Bursty)
     double burstFraction = 0.15;  //!< fraction of time in burst state
-    double burstHold = 2.0;       //!< mean seconds per burst episode
 
     double diurnalPeriod = 120.0; //!< seconds per synthetic "day"
     double diurnalAmplitude = 0.6;//!< rate swing in [0, 1)

@@ -54,9 +54,6 @@ ContinuousBatcher::ContinuousBatcher(const BatcherConfig &config)
     LAER_CHECK(config_.prefillChunk >= 1,
                "prefill chunk must be positive");
     LAER_CHECK(config_.numSloClasses >= 1, "need at least one SLO class");
-    LAER_CHECK(config_.numDevices >= 1, "need at least one device");
-    LAER_CHECK(config_.deviceTokenCap >= 0,
-               "device token cap cannot be negative");
     if (config_.kvBudgetBytes > 0) {
         LAER_CHECK(config_.kvBytesPerToken >= 1,
                    "KV model needs kvBytesPerToken");
@@ -65,15 +62,6 @@ ContinuousBatcher::ContinuousBatcher(const BatcherConfig &config)
     } else {
         LAER_CHECK(config_.maxRunning >= 1, "need at least one KV slot");
     }
-}
-
-TokenCount
-ContinuousBatcher::effectiveBudget() const
-{
-    if (config_.deviceTokenCap == 0)
-        return config_.tokenBudget;
-    return std::min(config_.tokenBudget,
-                    config_.deviceTokenCap * config_.numDevices);
 }
 
 Bytes
@@ -298,7 +286,7 @@ BatchPlan
 ContinuousBatcher::nextBatch()
 {
     BatchPlan plan;
-    TokenCount budget = effectiveBudget();
+    TokenCount budget = config_.tokenBudget;
 
     // KV pre-pass: reserve this step's decode growth, evicting victims
     // (recompute-style) when the pool is exhausted. Every decode-phase

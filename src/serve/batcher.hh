@@ -43,8 +43,7 @@
  * The batch is data-parallel sharded across devices, so the per-step
  * token budget doubles as the per-device expert capacity knob: with N
  * devices and top-k routing, a step schedules at most
- * tokenBudget * K / N expected expert tokens per device. An optional
- * `deviceTokenCap` tightens the budget on small clusters.
+ * tokenBudget * K / N expected expert tokens per device.
  */
 
 #ifndef LAER_SERVE_BATCHER_HH
@@ -81,10 +80,6 @@ struct BatcherConfig
     TokenCount prefillChunk = 512; //!< max prefill tokens per request
                                    //!< per step (Sarathi chunking)
     int numSloClasses = 1;         //!< admission priority classes
-    /** Per-device slice cap; 0 disables. With N simulated devices the
-     * effective step budget is min(tokenBudget, N * deviceTokenCap). */
-    TokenCount deviceTokenCap = 0;
-    int numDevices = 1;            //!< N, for the per-device cap
 
     /** Cluster-wide KV-cache pool in bytes; 0 keeps the legacy
      * `maxRunning` slot count. Derived from per-device HBM by
@@ -300,9 +295,6 @@ class ContinuousBatcher
     {
         return static_cast<int>(running_.size());
     }
-
-    /** Effective per-step token budget after the per-device cap. */
-    TokenCount effectiveBudget() const;
 
     /** True when admission is bounded by KV bytes, not maxRunning. */
     bool kvEnabled() const { return kv_.has_value(); }

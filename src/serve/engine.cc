@@ -50,6 +50,9 @@ servingPolicyName(ServingPolicy policy)
 namespace
 {
 
+/** Scheduler + kernel-launch cost charged per step. */
+constexpr Seconds kStepOverhead = 2e-3;
+
 /** EP group structure (only meaningful for the StaticEp policy). */
 EpGrouping
 makeGrouping(const Cluster &topo, const EngineConfig &config)
@@ -83,19 +86,12 @@ ServingEngine::ServingEngine(const DevicePoolSlice &slice,
     : slice_(slice), config_(config), batcher_(config.batcher),
       state_(initial), grouping_(makeGrouping(slice_.topo, config_))
 {
-    LAER_CHECK(initial == EngineState::Active ||
-                   initial == EngineState::Loading,
+    LAER_CHECK(accepting(initial),
                "an engine is born Active or Loading, not "
                    << engineStateName(initial));
     LAER_CHECK(config_.policy != ServingPolicy::Disaggregated,
                "Disaggregated is a simulator topology, not a pool "
                "layout policy");
-    LAER_CHECK(config_.batcher.numDevices == slice_.numDevices(),
-               "batcher sized for " << config_.batcher.numDevices
-                                    << " devices but the pool holds "
-                                    << slice_.numDevices());
-    LAER_CHECK(config_.hostLinkBw > 0,
-               "host-link bandwidth must be positive");
     const int experts = config_.model.numExperts;
     for (int l = 0; l < config_.simulatedLayers; ++l) {
         RoutingModel m = config_.routing;
@@ -132,7 +128,6 @@ ServingEngine::ServingEngine(const DevicePoolSlice &slice,
       case ServingPolicy::FlexMoe: {
         FlexMoeConfig fc;
         fc.capacity = config_.capacity;
-        fc.maxMovesPerStep = config_.flexMaxMoves;
         fc.expertBytes = config_.model.expertParamBytes();
         fc.cost = config_.tuner.cost;
         for (int l = 0; l < config_.simulatedLayers; ++l) {
@@ -161,8 +156,7 @@ ServingEngine::setReady()
 void
 ServingEngine::beginDrain()
 {
-    LAER_CHECK(state_ == EngineState::Active ||
-                   state_ == EngineState::Loading,
+    LAER_CHECK(accepting(state_),
                "beginDrain on a " << engineStateName(state_)
                                   << " engine");
     state_ = EngineState::Draining;
@@ -420,7 +414,7 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
     const Seconds head = lmHeadForwardTime(model, sampled, 1,
                                            topo.computeFlops());
     res.duration = timeline.makespan * layer_scale + head +
-                   config_.stepOverhead + res.migration;
+                   kStepOverhead + res.migration;
 
     // Swap-style preemption traffic recorded while planning this step
     // drains over the host link and serialises with the step.
@@ -428,7 +422,7 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
     res.swapInBytes = batcher_.takeSwapInBytes();
     res.swapTime = static_cast<double>(res.swapOutBytes +
                                        res.swapInBytes) /
-                   config_.hostLinkBw;
+                   kHostLinkBw;
     res.duration += res.swapTime;
 
     res.a2aBusy = timeline.a2aBusy * layer_scale;

@@ -95,6 +95,14 @@ enum class EngineState
 /** Printable engine-state name. */
 const char *engineStateName(EngineState state);
 
+/** True while an engine accepts requests: Active, or Loading (its
+ * queue serves the moment the shards land). */
+inline bool
+accepting(EngineState state)
+{
+    return state == EngineState::Active || state == EngineState::Loading;
+}
+
 /** Timing/accounting of one engine step. */
 struct ServingStepResult
 {
@@ -128,19 +136,16 @@ struct EngineConfig
                                 //!< of this pool (not Disaggregated)
     int capacity = 2;           //!< C, expert slots per device
     int simulatedLayers = 4;    //!< MoE layers carried through the DES
-    Seconds stepOverhead = 2e-3; //!< scheduler + launch cost per step
-    BatcherConfig batcher;      //!< resolved for the pool (numDevices,
-                                //!< KV budget, token budget)
+    BatcherConfig batcher;      //!< resolved for the pool (KV budget,
+                                //!< token budget)
     RoutingModel routing;       //!< resolved for the pool's device count
     int retunePeriod = 16;      //!< LAER re-tune cadence, in steps
     TunerConfig tuner;          //!< LAER planner knobs
-    int flexMaxMoves = 2;       //!< FlexMoE adjustments per step
     std::uint64_t seed = 42;    //!< routing-generator seed base
     /** False for the follower pool of a shared-layout disaggregated
      * run: the engine never re-tunes on its own and expects layouts
      * via setLayouts(). */
     bool tuningEnabled = true;
-    double hostLinkBw = kHostLinkBw; //!< PCIe rate for swap charging
     /** Optional worker pool for the per-layer tune/route fan-out (and,
      * via tuner.pool, the tuner's scheme set). Non-owning; null runs
      * serially. Results are identical for any thread count. */
@@ -302,9 +307,6 @@ class ServingEngine
     {
         return lastRouting_;
     }
-
-    /** Steps executed by this engine so far. */
-    int stepsExecuted() const { return stepIndex_; }
 
     /** LAER re-tunes applied so far. */
     int retunes() const { return retunes_; }

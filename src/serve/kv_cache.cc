@@ -85,8 +85,6 @@ KvCachePool::grow(int id, TokenCount context)
                    << " B are free");
     it->second = target;
     reserved_ += delta;
-    peakReserved_ = std::max(peakReserved_, reserved_);
-    ++growOps_;
 }
 
 void
@@ -108,7 +106,6 @@ KvCachePool::release(int id)
         return;
     reserved_ -= it->second;
     perSeq_.erase(it);
-    ++releaseOps_;
 }
 
 bool

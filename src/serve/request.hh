@@ -199,13 +199,6 @@ class ServingMetrics
     /** Peak recorded KV-utilization sample; 0 when empty. */
     double peakKvUtilization() const;
 
-    /** KV-utilization samples in recording order (one per step).
-     * Empty in Streaming mode. */
-    const std::vector<double> &kvUtilizationSeries() const
-    {
-        return kvUtil_;
-    }
-
     /** TTFT samples in completion order — the control plane slices
      * suffixes of this for per-window percentiles. Empty in Streaming
      * mode (window percentiles then read 0). */

@@ -17,6 +17,19 @@ namespace
 
 constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
 
+/** Insert `item` into `queue`, kept sorted by readyAt; ties keep
+ * insertion order (stable), so the walk order is a pure function of
+ * the insertion history. */
+template <typename T>
+void
+insertByReadyAt(std::deque<T> &queue, T item)
+{
+    const auto pos = std::upper_bound(
+        queue.begin(), queue.end(), item.readyAt,
+        [](Seconds t, const T &queued) { return t < queued.readyAt; });
+    queue.insert(pos, std::move(item));
+}
+
 /** Validate and fill the derived fields of the configuration. */
 ServingConfig
 normalizeConfig(const Cluster &cluster, ServingConfig config)
@@ -33,10 +46,7 @@ normalizeConfig(const Cluster &cluster, ServingConfig config)
     LAER_CHECK(config.horizon > 0.0, "horizon must be positive");
     LAER_CHECK(config.retunePeriod >= 1,
                "retune period must be positive");
-    LAER_CHECK(config.hostLinkBw > 0,
-               "host-link bandwidth must be positive");
 
-    config.batcher.numDevices = n;
     config.batcher.numSloClasses = config.arrival.numSloClasses;
 
     config.routing.numDevices = n;
@@ -71,19 +81,9 @@ normalizeConfig(const Cluster &cluster, ServingConfig config)
         LAER_CHECK(prefill * config.capacity >= experts &&
                        decode * config.capacity >= experts,
                    "each pool must be able to host every expert");
-        LAER_CHECK(config.disagg.poolPolicy !=
-                       ServingPolicy::Disaggregated,
-                   "pool policy cannot itself be Disaggregated");
-        if (config.disagg.sharedLayout) {
-            LAER_CHECK(prefill == decode,
-                       "shared-layout disaggregation needs equal pools "
-                       "(" << prefill << " vs " << decode << ")");
-            LAER_CHECK(config.disagg.poolPolicy ==
-                           ServingPolicy::LaerServe,
-                       "shared-layout disaggregation needs LaerServe "
-                       "pools (only the LAER tuner supports the "
-                       "leader/follower split)");
-        }
+        LAER_CHECK(!config.disagg.sharedLayout || prefill == decode,
+                   "shared-layout disaggregation needs equal pools "
+                   "(" << prefill << " vs " << decode << ")");
         LAER_CHECK(config.replicas.replicaDevices == 0,
                    "replica slicing and disaggregation are exclusive "
                    "simulator topologies");
@@ -182,12 +182,12 @@ ServingSimulator::engineConfigFor(const DevicePoolSlice &slice,
 
     EngineConfig ec;
     ec.model = config_.model;
+    // Disaggregated pools run the LAER tuner.
     ec.policy = config_.policy == ServingPolicy::Disaggregated
-                    ? config_.disagg.poolPolicy
+                    ? ServingPolicy::LaerServe
                     : config_.policy;
     ec.capacity = config_.capacity;
     ec.simulatedLayers = config_.simulatedLayers;
-    ec.stepOverhead = config_.stepOverhead;
     ec.retunePeriod = config_.retunePeriod;
     ec.tuner = config_.tuner;
     // The engine only adopts decision.layout; the dense winner plan
@@ -203,8 +203,6 @@ ServingSimulator::engineConfigFor(const DevicePoolSlice &slice,
     // (replayRetuneMetrics).
     ec.metrics =
         config_.desParallel ? nullptr : config_.metricsRegistry;
-    ec.flexMaxMoves = config_.flexMaxMoves;
-    ec.hostLinkBw = config_.hostLinkBw;
     // Engines draw from disjoint seed streams; pool 0 keeps the run's
     // base seed so single-engine runs reproduce PR 1-2 bit-for-bit.
     ec.seed = config_.seed +
@@ -215,7 +213,6 @@ ServingSimulator::engineConfigFor(const DevicePoolSlice &slice,
                          config_.disagg.sharedLayout && pool_index == 0);
 
     ec.batcher = config_.batcher;
-    ec.batcher.numDevices = n;
     // A pool's step budget is its device share of the cluster budget.
     ec.batcher.tokenBudget = std::max<TokenCount>(
         1, config_.batcher.tokenBudget * n / cluster_n);
@@ -230,7 +227,6 @@ ServingSimulator::engineConfigFor(const DevicePoolSlice &slice,
             std::max<TokenCount>(1, ec.batcher.tokenBudget / n));
         ec.batcher.kvBudgetBytes = mem.kvPoolTotal;
         ec.batcher.kvBytesPerToken = kvBytesPerToken(config_.model);
-        ec.batcher.kvBlockTokens = config_.kvBlockTokens;
     } else if (config_.batcher.kvBudgetBytes > 0) {
         // Direct pool sizing: split the configured budget by device
         // share.
@@ -256,7 +252,7 @@ ServingSimulator::loadDelayFor(const DevicePoolSlice &slice) const
         inferenceModelState(config_.model, slice.numDevices(),
                             config_.capacity)
             .total();
-    return static_cast<double>(per_device) / config_.hostLinkBw;
+    return static_cast<double>(per_device) / kHostLinkBw;
 }
 
 bool
@@ -296,16 +292,13 @@ Bytes
 ServingSimulator::kvBytesForContext(TokenCount context) const
 {
     Bytes per_token = 0;
-    TokenCount block = 1;
-    if (config_.hbmPerDevice > 0) {
+    if (config_.hbmPerDevice > 0)
         per_token = kvBytesPerToken(config_.model);
-        block = config_.kvBlockTokens;
-    } else if (config_.batcher.kvBudgetBytes > 0) {
+    else if (config_.batcher.kvBudgetBytes > 0)
         per_token = config_.batcher.kvBytesPerToken;
-        block = config_.batcher.kvBlockTokens;
-    } else {
+    else
         return 0;
-    }
+    const TokenCount block = config_.batcher.kvBlockTokens;
     const TokenCount blocks = (context + block - 1) / block;
     return blocks * block * per_token;
 }
@@ -397,8 +390,7 @@ ServingSimulator::pickEngineForArrival(const std::vector<int> &load) const
     // moment the shards land), ties go to the lowest slot.
     int best = -1;
     for (std::size_t i = 0; i < engines_.size(); ++i) {
-        const EngineState state = engines_[i]->state();
-        if (state != EngineState::Active && state != EngineState::Loading)
+        if (!accepting(engines_[i]->state()))
             continue;
         if (best < 0 || load[i] < load[static_cast<std::size_t>(best)])
             best = static_cast<int>(i);
@@ -412,7 +404,7 @@ ServingSimulator::requestReplicas(int target)
     LAER_CHECK(config_.replicas.replicaDevices > 0,
                "requestReplicas needs replica slicing "
                "(ReplicaConfig::replicaDevices)");
-    const int slots = replicaSlots();
+    const int slots = numEngines();
     target = std::min(std::max(target, 1), slots);
     if (reconfigPending())
         return false;
@@ -430,7 +422,6 @@ ServingSimulator::requestReplicas(int target)
                                 live + spun < target; ++i) {
             if (engines_[i]->state() != EngineState::Stopped)
                 continue;
-            retireEngineCounters(i);
             if (faultsEnabled_) {
                 // A rebuilt slice comes back whole, exactly like a
                 // scripted repair (applyRepair); when this slot died
@@ -439,13 +430,7 @@ ServingSimulator::requestReplicas(int target)
                 deadDevices_[i] = 0;
                 stragglerFactor_[i] = 1.0;
             }
-            engines_[i] = std::make_unique<ServingEngine>(
-                slices_[i],
-                engineConfigFor(slices_[i], static_cast<int>(i)),
-                EngineState::Loading);
-            const Seconds d = loadDelayFor(slices_[i]);
-            freeAt_[i] = now_ + d;
-            delay = std::max(delay, d);
+            delay = std::max(delay, respawnEngine(i));
             ++spun;
         }
         ScalingEvent event;
@@ -455,8 +440,7 @@ ServingSimulator::requestReplicas(int target)
         event.before = live;
         event.after = target;
         event.loadDelay = delay;
-        scalingEvents_.push_back(event);
-        emitScalingEvent(event);
+        recordScaling(event);
     } else {
         // Scale down: close admission on the highest live slots; the
         // drain itself completes in applyReconfig() at each victim's
@@ -468,14 +452,9 @@ ServingSimulator::requestReplicas(int target)
         pending_.before = live;
         int to_drain = live - target;
         for (int i = slots - 1; i >= 0 && to_drain > 0; --i) {
-            const EngineState state = engines_[i]->state();
-            if (state != EngineState::Active &&
-                state != EngineState::Loading)
+            if (!accepting(engines_[i]->state()))
                 continue;
-            if (state == EngineState::Loading)
-                freeAt_[i] = now_; // no step in flight: drain at once
-            engines_[i]->beginDrain();
-            drainStart_[static_cast<std::size_t>(i)] = now_;
+            beginDrain(static_cast<std::size_t>(i));
             --to_drain;
         }
         applyReconfig();
@@ -539,12 +518,8 @@ ServingSimulator::requestSplit(int prefill_devices)
     pending_.requestedAt = now_;
     pending_.before = slices_[0].numDevices();
     pending_.held.assign(2, {});
-    for (int i = 0; i < 2; ++i) {
-        if (engines_[i]->state() == EngineState::Loading)
-            freeAt_[i] = now_; // no step in flight: drain at once
-        engines_[i]->beginDrain();
-        drainStart_[static_cast<std::size_t>(i)] = now_;
-    }
+    for (std::size_t i = 0; i < 2; ++i)
+        beginDrain(i);
     applyReconfig();
     return true;
 }
@@ -616,8 +591,9 @@ ServingSimulator::emitRetuneSpans(std::size_t i)
 }
 
 void
-ServingSimulator::emitScalingEvent(const ScalingEvent &event)
+ServingSimulator::recordScaling(const ScalingEvent &event)
 {
+    scalingEvents_.push_back(event);
     LAER_METRIC_COUNT(config_.metricsRegistry, "ctrl.scaling_events",
                       1);
     LAER_TRACE_INSTANT(config_.trace, controlTrack(), event.action,
@@ -753,6 +729,37 @@ ServingSimulator::retireEngineCounters(std::size_t i)
 }
 
 void
+ServingSimulator::beginDrain(std::size_t i)
+{
+    if (engines_[i]->state() == EngineState::Loading)
+        freeAt_[i] = now_; // no step in flight: drain at once
+    engines_[i]->beginDrain();
+    drainStart_[i] = now_;
+}
+
+std::vector<Request>
+ServingSimulator::stopEngine(std::size_t i)
+{
+    harvestFinished(static_cast<int>(i), engines_[i]->takeFinished());
+    accruePower(now_);
+    std::vector<Request> evicted = engines_[i]->drain();
+    emitRetuneSpans(i);
+    return evicted;
+}
+
+Seconds
+ServingSimulator::respawnEngine(std::size_t i)
+{
+    retireEngineCounters(i);
+    engines_[i] = std::make_unique<ServingEngine>(
+        slices_[i], engineConfigFor(slices_[i], static_cast<int>(i)),
+        EngineState::Loading);
+    const Seconds delay = loadDelayFor(slices_[i]);
+    freeAt_[i] = now_ + delay;
+    return delay;
+}
+
+void
 ServingSimulator::applyReconfig()
 {
     // Promote engines whose model shards have landed.
@@ -784,10 +791,7 @@ ServingSimulator::applyReconfig()
         if (engines_[i]->state() != EngineState::Draining ||
             freeAt_[i] > now_)
             continue;
-        harvestFinished(static_cast<int>(i), engines_[i]->takeFinished());
-        accruePower(now_);
-        std::vector<Request> evicted = engines_[i]->drain();
-        emitRetuneSpans(i);
+        std::vector<Request> evicted = stopEngine(i);
         if (config_.trace != nullptr && drainStart_[i] >= 0.0)
             config_.trace->span(
                 poolTrack(i), "drain", "ctrl", drainStart_[i],
@@ -842,19 +846,14 @@ ServingSimulator::applyReconfig()
             cluster_, {pending_.target, n - pending_.target},
             {"prefill", "decode"});
         Seconds delay = 0.0;
-        for (int i = 0; i < 2; ++i) {
-            retireEngineCounters(static_cast<std::size_t>(i));
-            engines_[i] = std::make_unique<ServingEngine>(
-                slices_[i], engineConfigFor(slices_[i], i),
-                EngineState::Loading);
-            const Seconds d = loadDelayFor(slices_[i]);
-            freeAt_[i] = now_ + d;
-            delay = std::max(delay, d);
+        for (std::size_t i = 0; i < 2; ++i) {
+            delay = std::max(delay, respawnEngine(i));
             for (const Request &r : pending_.held[i]) {
                 engines_[i]->enqueue(r);
                 if (LAER_REQ_SAMPLED(config_.reqTrace, r.id))
                     LAER_REQ_EVENT(config_.reqTrace,
-                                   onRehome(r.id, now_, i));
+                                   onRehome(r.id, now_,
+                                            static_cast<int>(i)));
             }
             pending_.rehomed +=
                 static_cast<int>(pending_.held[i].size());
@@ -867,8 +866,7 @@ ServingSimulator::applyReconfig()
         event.after = pending_.target;
         event.loadDelay = delay;
         event.rehomed = pending_.rehomed;
-        scalingEvents_.push_back(event);
-        emitScalingEvent(event);
+        recordScaling(event);
         pending_ = PendingReconfig{};
     } else {
         for (const auto &engine : engines_)
@@ -881,8 +879,7 @@ ServingSimulator::applyReconfig()
         event.before = pending_.before;
         event.after = pending_.target;
         event.rehomed = pending_.rehomed;
-        scalingEvents_.push_back(event);
-        emitScalingEvent(event);
+        recordScaling(event);
         pending_ = PendingReconfig{};
     }
 }
@@ -938,20 +935,13 @@ ServingSimulator::pumpArrivals()
             // repair's own wake drives the clock meanwhile, the
             // drain-door idiom below).
             bool any_live = false;
-            for (const auto &engine : engines_) {
-                const EngineState state = engine->state();
-                if (state == EngineState::Active ||
-                    state == EngineState::Loading) {
-                    any_live = true;
-                    break;
-                }
-            }
+            for (const auto &engine : engines_)
+                any_live = any_live || accepting(engine->state());
             if (!any_live)
                 break;
         }
         if (config_.policy == ServingPolicy::Disaggregated &&
-            engines_[0]->state() != EngineState::Active &&
-            engines_[0]->state() != EngineState::Loading)
+            !accepting(engines_[0]->state()))
             // The prefill pool is mid-reconfiguration: the front door
             // buffers the due arrival until the new pool exists (its
             // queueing delay lands in TTFT as usual).
@@ -1139,15 +1129,8 @@ ServingSimulator::harvestFinished(int pool_index,
         m.request = r;
         // Keep the queue ordered by arrival at the decode pool:
         // per-context wire times differ, so a short context finishing
-        // later can still land first. Ties keep push order (stable).
-        migrations_.insert(
-            std::upper_bound(migrations_.begin(), migrations_.end(),
-                             m,
-                             [](const PendingMigration &a,
-                                const PendingMigration &b) {
-                                 return a.readyAt < b.readyAt;
-                             }),
-            m);
+        // later can still land first.
+        insertByReadyAt(migrations_, std::move(m));
         kvTransferBytes_ += bytes;
         kvTransferSeconds_ += wire;
         ++migrated_;
@@ -1160,9 +1143,7 @@ ServingSimulator::pumpMigrations()
     if (config_.policy != ServingPolicy::Disaggregated)
         return;
     ServingEngine &decode = *engines_[1];
-    const bool decode_open =
-        decode.state() == EngineState::Active ||
-        decode.state() == EngineState::Loading;
+    const bool decode_open = accepting(decode.state());
     while (decode_open && !migrations_.empty()) {
         const PendingMigration &m = migrations_.front();
         if (m.readyAt > now_)
@@ -1183,8 +1164,7 @@ ServingSimulator::pumpMigrations()
     // draining prefill pool keeps its admission shut regardless.
     const bool blocked =
         !migrations_.empty() && migrations_.front().readyAt <= now_;
-    if (engines_[0]->state() == EngineState::Active ||
-        engines_[0]->state() == EngineState::Loading)
+    if (accepting(engines_[0]->state()))
         engines_[0]->batcher().setAdmissionPaused(blocked);
 }
 
@@ -1449,10 +1429,7 @@ ServingSimulator::applyKill(std::size_t i)
     // The dying engine's completed work is real (its last step
     // committed at the step boundary we deferred to); only the live
     // queue is lost.
-    harvestFinished(static_cast<int>(i), engines_[i]->takeFinished());
-    accruePower(now_);
-    std::vector<Request> evicted = engines_[i]->drain();
-    emitRetuneSpans(i);
+    std::vector<Request> evicted = stopEngine(i);
     LAER_TRACE_INSTANT(config_.trace, faultTrack(), "replica_dead",
                        "fault", now_,
                        {TraceArg{"pool", static_cast<int>(i)},
@@ -1473,14 +1450,9 @@ ServingSimulator::applyRepair(std::size_t i)
     // A rebuilt slice comes back whole: stragglers and dead devices
     // do not survive the reimage.
     accruePower(now_);
-    retireEngineCounters(i);
     deadDevices_[i] = 0;
     stragglerFactor_[i] = 1.0;
-    engines_[i] = std::make_unique<ServingEngine>(
-        slices_[i], engineConfigFor(slices_[i], static_cast<int>(i)),
-        EngineState::Loading);
-    const Seconds delay = loadDelayFor(slices_[i]);
-    freeAt_[i] = now_ + delay;
+    const Seconds delay = respawnEngine(i);
     ScalingEvent event;
     event.requested = now_;
     event.applied = now_ + delay;
@@ -1488,8 +1460,7 @@ ServingSimulator::applyRepair(std::size_t i)
     event.before = activeReplicas();
     event.after = event.before + 1;
     event.loadDelay = delay;
-    scalingEvents_.push_back(event);
-    emitScalingEvent(event);
+    recordScaling(event);
 }
 
 void
@@ -1542,16 +1513,7 @@ ServingSimulator::scheduleRetry(Request request, Seconds killed_at)
     retry.killedAt = killed_at;
     retry.readyAt = now_ + backoff;
     retry.request = std::move(request);
-    // Sorted by readyAt; ties keep insertion order (stable), so the
-    // walk order is a pure function of the fault history.
-    retryQueue_.insert(
-        std::upper_bound(retryQueue_.begin(), retryQueue_.end(),
-                         retry,
-                         [](const PendingRetry &a,
-                            const PendingRetry &b) {
-                             return a.readyAt < b.readyAt;
-                         }),
-        std::move(retry));
+    insertByReadyAt(retryQueue_, std::move(retry));
 }
 
 void
@@ -1590,11 +1552,7 @@ ServingSimulator::pickRetryTarget(const Request &request) const
             decodeTargets_.count(request.id) != 0 ? 0 : 1;
         if (pool == 0 && linkDown_)
             return -1;
-        const EngineState state = engines_[pool]->state();
-        return state == EngineState::Active ||
-                       state == EngineState::Loading
-                   ? pool
-                   : -1;
+        return accepting(engines_[pool]->state()) ? pool : -1;
     }
     return pickEngineForArrival(engineLoads());
 }
@@ -2032,8 +1990,7 @@ ServingSimulator::runEngineWindow(std::size_t i, Seconds window_end,
     // Earliest instant the engine can act; never before the window.
     Seconds clock = std::max(now_, free_at);
     std::size_t next = 0;
-    const bool open = engine.state() == EngineState::Active ||
-                      engine.state() == EngineState::Loading;
+    const bool open = accepting(engine.state());
     LAER_ASSERT(open || arrivals.empty(),
                 "arrivals binned to a parked engine");
     while (open) {
@@ -2166,21 +2123,15 @@ ServingSimulator::finish()
     if (config_.trace != nullptr)
         for (std::size_t i = 0; i < engines_.size(); ++i)
             emitRetuneSpans(i);
+    ServingReport report = buildReport();
     if (config_.metricsRegistry != nullptr) {
         updateRegistryGauges();
         if (config_.selfProfile) {
-            double retune_ms = 0.0;
-            for (const RetuneWallSample &s : retiredRetuneWall_)
-                retune_ms += s.wallMs;
-            for (const auto &engine : engines_)
-                for (const RetuneWallSample &s : engine->retuneWall())
-                    retune_ms += s.wallMs;
-            config_.metricsRegistry->gauge("profile.retune_ms")
-                .set(retune_ms);
-            config_.metricsRegistry->gauge("profile.step_pricing_ms")
-                .set(std::max(0.0, profExecMs_ - retune_ms));
-            config_.metricsRegistry->gauge("profile.event_loop_ms")
-                .set(std::max(0.0, profStepMs_ - profExecMs_));
+            MetricsRegistry &reg = *config_.metricsRegistry;
+            reg.gauge("profile.retune_ms").set(report.profRetuneMs);
+            reg.gauge("profile.step_pricing_ms")
+                .set(report.profStepPricingMs);
+            reg.gauge("profile.event_loop_ms").set(report.profEventLoopMs);
         }
         if (desParallel_) {
             // Windowed-core fan-out profile. profile.* is wall-clock
@@ -2203,7 +2154,7 @@ ServingSimulator::finish()
         // are off, so --metrics-out always captures the run's totals.
         config_.metricsRegistry->recordSnapshot(now_);
     }
-    return buildReport();
+    return report;
 }
 
 ServingReport

@@ -82,9 +82,6 @@ struct DisaggConfig
      * prefill + decode routing and the prefill pool adopts it
      * (requires equal pool sizes). */
     bool sharedLayout = false;
-
-    /** Expert-placement policy inside each pool. */
-    ServingPolicy poolPolicy = ServingPolicy::LaerServe;
 };
 
 /**
@@ -115,31 +112,25 @@ struct ServingConfig
     int capacity = 2;          //!< C, expert slots per device
     int simulatedLayers = 4;   //!< MoE layers carried through the DES
                                //!< (timing scales to model.layers)
-    Seconds stepOverhead = 2e-3; //!< scheduler + launch cost per step
     /** Per-device HBM in bytes. When > 0 the simulator derives each
      * pool's KV-cache pool from it (servingMemoryBudget): model
      * state + activation reserve come off the top, the rest is KV,
      * and admission/preemption run on bytes instead of maxRunning. */
     Bytes hbmPerDevice = 0;
-    TokenCount kvBlockTokens = 16; //!< KV paged-allocation granularity
     ArrivalConfig arrival;
-    BatcherConfig batcher;     //!< numDevices is filled in by the sim;
-                               //!< multi-pool runs split tokenBudget
+    BatcherConfig batcher;     //!< multi-pool runs split tokenBudget
                                //!< and kvBudgetBytes by device share
     RoutingModel routing;      //!< drift/skew/jitter knobs; the
                                //!< device/expert/token counts are
                                //!< filled in by the simulator
     int retunePeriod = 16;     //!< LAER re-tune cadence, in steps
     TunerConfig tuner;         //!< LAER planner knobs
-    int flexMaxMoves = 2;      //!< FlexMoE adjustments per step
     DisaggConfig disagg;       //!< pool split (Disaggregated only)
     ReplicaConfig replicas;    //!< replica slicing (aggregated only)
     /** Fault-injection plan (src/fault/). Strictly opt-in: with
      * `faults.enabled()` false (the default) no fault code path runs
      * and the simulation stays byte-for-byte with its history. */
     FaultConfig faults;
-    double hostLinkBw = kHostLinkBw; //!< PCIe rate for swap preemption
-                               //!< and control-plane model loads
     Seconds sloTtft = 0.5;     //!< TTFT target for goodput accounting
     Seconds horizon = 30.0;    //!< seconds of offered traffic
     std::uint64_t seed = 42;   //!< routing-generator seed base
@@ -224,7 +215,7 @@ struct ScalingEvent
     std::string action;      //!< "replicas" or "split"
     int before = 0;          //!< replica count, or prefill devices
     int after = 0;
-    Seconds loadDelay = 0.0; //!< model (re)shard time over hostLinkBw
+    Seconds loadDelay = 0.0; //!< model (re)shard time over kHostLinkBw
     int rehomed = 0;         //!< live requests drained + re-enqueued
 };
 
@@ -362,10 +353,6 @@ class ServingSimulator
 
     // ---- control-plane hooks (src/ctrl/) ------------------------------
 
-    /** Replica slots carved at construction (1 unless
-     * ReplicaConfig::replicaDevices is set; 2 when disaggregated). */
-    int replicaSlots() const { return static_cast<int>(engines_.size()); }
-
     /** Engines not Stopped — live replicas (or pools). */
     int activeReplicas() const;
 
@@ -378,7 +365,7 @@ class ServingSimulator
 
     /**
      * Ask for `target` live replicas (replica mode only; clamped to
-     * [1, replicaSlots()]). Scale-up activates stopped slices behind a
+     * [1, numEngines()]). Scale-up activates stopped slices behind a
      * model-load delay; scale-down closes admission on the
      * highest-index live slices and drains each at its next idle
      * moment, re-homing live requests onto the surviving replicas.
@@ -464,7 +451,8 @@ class ServingSimulator
         return steps_;
     }
 
-    /** Engines driving this run: 1, or 2 when disaggregated. */
+    /** Engine slots carved at construction: 1, one per replica slice
+     * (ReplicaConfig::replicaDevices), or 2 when disaggregated. */
     int numEngines() const { return static_cast<int>(engines_.size()); }
 
     /** Engine `i` (0 = prefill pool when disaggregated). */
@@ -714,8 +702,9 @@ class ServingSimulator
      * the last call (tracked by retuneSeen_). */
     void emitRetuneSpans(std::size_t i);
 
-    /** Emit a ScalingEvent instant on the control track. */
-    void emitScalingEvent(const ScalingEvent &event);
+    /** Append `event` to the report's scaling timeline and emit it on
+     * the control track. */
+    void recordScaling(const ScalingEvent &event);
 
     /** Fold the run's authoritative counters/gauges into the attached
      * registry (called before every snapshot). */
@@ -727,6 +716,23 @@ class ServingSimulator
     /** Accumulate a to-be-rebuilt engine's monotone counters so they
      * survive the rebuild, and reset its per-engine cursors. */
     void retireEngineCounters(std::size_t i);
+
+    // ---- engine lifecycle transitions ------------------------------
+
+    /** Active/Loading -> Draining: close engine `i`'s admission and
+     * start its drain clock; a Loading engine has no step in flight,
+     * so it drains at once. */
+    void beginDrain(std::size_t i);
+
+    /** Stop engine `i` at an idle moment: harvest its finished
+     * requests, accrue power, drain it and flush its retune spans.
+     * @return the evicted live requests, for the caller to re-home. */
+    std::vector<Request> stopEngine(std::size_t i);
+
+    /** Rebuild slot `i` as a fresh Loading engine on slices_[i] (its
+     * old engine's counters retired) that becomes free after the model
+     * load. @return the load delay. */
+    Seconds respawnEngine(std::size_t i);
 
     // ---- per-request lifecycle tracing (obs/req_trace.hh) ----------
 

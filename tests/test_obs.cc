@@ -22,6 +22,7 @@
 #include "core/stats.hh"
 #include "difftest/diff.hh"
 #include "obs/metrics.hh"
+#include "obs/req_trace.hh"
 #include "obs/trace.hh"
 #include "serve/serving_sim.hh"
 #include "topo/cluster.hh"
@@ -215,6 +216,42 @@ TEST(Metrics, CountersGaugesAndSnapshots)
     EXPECT_NE(jsonl.find("\"run\":\"runA\""), std::string::npos);
     EXPECT_NE(jsonl.find("\"t\":1"), std::string::npos);
     EXPECT_NE(jsonl.find("\"serve.offered\":6"), std::string::npos);
+}
+
+TEST(Metrics, RunLabelsNeverWriteRawControlBytes)
+{
+    // A run label carrying a newline, a control byte, a quote and a
+    // backslash must come out escaped in both per-run exports: raw
+    // bytes below 0x20 are invalid inside a JSON string, and a raw
+    // newline would split one JSONL snapshot line in two.
+    const std::string label = "a\nb\x01\"\\";
+    const auto raw_controls = [](const std::string &s) {
+        return std::count_if(s.begin(), s.end(), [](char c) {
+            return static_cast<unsigned char>(c) < 0x20 && c != '\n';
+        });
+    };
+    const std::string escaped = "a\\nb\\u0001\\\"\\\\";
+
+    MetricsRegistry reg;
+    reg.counter("serve.offered").add(1);
+    reg.recordSnapshot(1.0);
+    reg.recordSnapshot(2.0);
+    std::ostringstream jsonl;
+    reg.writeJsonl(jsonl, label);
+    const std::string lines = jsonl.str();
+    EXPECT_EQ(raw_controls(lines), 0);
+    EXPECT_EQ(std::count(lines.begin(), lines.end(), '\n'), 2);
+    EXPECT_NE(lines.find("\"run\":\"" + escaped + "\""),
+              std::string::npos);
+
+    ReqTraceRecorder rec(ReqTraceConfig{});
+    std::ostringstream slo;
+    rec.writeSloJson(slo, label);
+    const std::string report = slo.str();
+    EXPECT_EQ(raw_controls(report), 0);
+    EXPECT_EQ(std::count(report.begin(), report.end(), '\n'), 0);
+    EXPECT_NE(report.find("\"run\":\"" + escaped + "\""),
+              std::string::npos);
 }
 
 // ------------------------------------------- streaming ServingMetrics

@@ -134,18 +134,6 @@ TEST(Batcher, NeverExceedsTokenBudget)
     EXPECT_EQ(batcher.takeFinished().size(), 40u);
 }
 
-TEST(Batcher, PerDeviceCapTightensBudget)
-{
-    BatcherConfig cfg;
-    cfg.tokenBudget = 8192;
-    cfg.deviceTokenCap = 100;
-    cfg.numDevices = 4;
-    ContinuousBatcher batcher(cfg);
-    EXPECT_EQ(batcher.effectiveBudget(), 400);
-    batcher.enqueue(makeRequest(0, 0.0, 4096, 8));
-    EXPECT_LE(batcher.nextBatch().totalTokens(), 400);
-}
-
 TEST(Batcher, FifoWithinClassAndClassPriority)
 {
     BatcherConfig cfg;
@@ -670,6 +658,36 @@ TEST(ServingSim, RetuneWallTimesAndBudgetOverrunsAreReported)
     EXPECT_EQ(free_report.retuneBudgetOverruns, 0);
     EXPECT_EQ(static_cast<int>(free_report.retuneWall.size()),
               free_report.retunes);
+}
+
+TEST(ServingSim, SelfProfileGaugesEqualTheReport)
+{
+    // The profile.* gauges and the report's prof* fields come from one
+    // computation, so they agree exactly — including the retune wall
+    // of engines retired by a scale-down/up cycle mid-run.
+    const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg = smallServingConfig(ServingPolicy::LaerServe);
+    cfg.replicas.replicaDevices = 4; // 2 replica engines
+    cfg.arrival.ratePerSec = 40.0;
+    cfg.selfProfile = true;
+    MetricsRegistry registry;
+    cfg.metricsRegistry = &registry;
+    ServingSimulator sim(cluster, cfg);
+    while (sim.now() < 1.0 && sim.step()) {
+    }
+    ASSERT_TRUE(sim.requestReplicas(1));
+    while (sim.now() < 2.0 && sim.step()) {
+    }
+    ASSERT_TRUE(sim.requestReplicas(2));
+    const ServingReport report = sim.run();
+    ASSERT_GT(report.retunes, 0);
+    EXPECT_GT(report.profRetuneMs, 0.0);
+    EXPECT_EQ(registry.gauge("profile.retune_ms").value(),
+              report.profRetuneMs);
+    EXPECT_EQ(registry.gauge("profile.step_pricing_ms").value(),
+              report.profStepPricingMs);
+    EXPECT_EQ(registry.gauge("profile.event_loop_ms").value(),
+              report.profEventLoopMs);
 }
 
 TEST(ServingSim, RejectsOversubscribedCluster)
